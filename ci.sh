@@ -79,6 +79,9 @@ fi
 step "cargo test -q (tier-1)"
 cargo test -q
 
+step "cargo test perfbench (the benchmark package builds against the public APIs)"
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 # Bench targets and smoke runs build in release; in --quick mode run
 # the smoke steps against the debug profile and skip the bench build
 # so no release compilation happens at all.

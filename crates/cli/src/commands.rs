@@ -8,18 +8,19 @@
 
 use crate::args::{bi_algo_of, Command, GenerateKind, GraphSource};
 use bigraph::{BipartiteGraph, Side};
-use fair_biclique::biclique::{CollectSink, CountSink, TopKSink};
+use fair_biclique::biclique::{BicliqueSink, CollectSink, CountSink, EnumStats, TopKSink};
 use fair_biclique::config::{
     Budget, FairParams, PrepareCtl, ProParams, RunConfig, Substrate, VertexOrder,
 };
 use fair_biclique::obs::SpanRecorder;
 use fair_biclique::pipeline::{
-    prune_bi_side, prune_single_side, run_bsfbc, run_pbsfbc, run_pssfbc, run_ssfbc, RunReport,
-    SsAlgorithm,
+    prune_bi_side, prune_single_side, run_bsfbc, run_pbsfbc, run_pssfbc, run_ssfbc, SsAlgorithm,
 };
 use fair_biclique::prepared::{PreparedQuery, QueryModel};
+use fair_biclique::results::canonical_order;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 /// Why a CLI invocation failed.
 #[derive(Debug)]
@@ -238,45 +239,48 @@ fn prune(
     ))
 }
 
-/// Run the parallel engine for whichever model `(bi, pro)` selects,
-/// streaming into per-worker sinks built by `make_sink`.
-fn par_stream<S: fair_biclique::biclique::BicliqueSink + Send>(
-    g: &BipartiteGraph,
-    params: FairParams,
-    pro: Option<ProParams>,
-    bi: bool,
-    cfg: &RunConfig,
-    make_sink: &(dyn Fn() -> S + Sync),
-) -> (
-    Vec<S>,
-    fair_biclique::fcore::PruneStats,
-    fair_biclique::biclique::EnumStats,
-) {
-    use fair_biclique::parallel::{par_run_bsfbc, par_run_pbsfbc, par_run_pssfbc, par_run_ssfbc};
-    match (bi, pro) {
-        (false, None) => par_run_ssfbc(g, params, cfg, make_sink),
-        (true, None) => par_run_bsfbc(g, params, cfg, make_sink),
-        (false, Some(p)) => par_run_pssfbc(g, p, cfg, make_sink),
-        (true, Some(p)) => par_run_pbsfbc(g, p, cfg, make_sink),
+/// Where `fbe enumerate` gets its results from.
+enum Route<'a> {
+    /// The default algorithm: a prepared plan, at any thread count.
+    Prepared(Box<PreparedQuery>),
+    /// A non-default `--algo`: a paper baseline, run serially.
+    Baseline(&'a dyn Fn(&mut dyn BicliqueSink) -> EnumStats),
+}
+
+impl Route<'_> {
+    /// Enumerate into sinks built by `make_sink` (one per worker).
+    fn stream<S: BicliqueSink + Send>(
+        &self,
+        cfg: &RunConfig,
+        make_sink: &(dyn Fn() -> S + Sync),
+    ) -> (Vec<S>, EnumStats) {
+        match self {
+            Route::Prepared(plan) => plan.stream(cfg, make_sink),
+            Route::Baseline(run) => {
+                let mut sink = make_sink();
+                let stats = run(&mut sink);
+                (vec![sink], stats)
+            }
+        }
     }
 }
 
 /// Report a run's wall-clock phases on stderr (stdout stays
 /// byte-stable for diffing across runs, threads, and substrates).
-/// With `--trace` the recorder holds a span tree and its indented
-/// `span ...` lines follow the summary, so the one-line timing and
-/// the detailed breakdown read as one block.
-fn report_timing(report: &RunReport, rec: &SpanRecorder) {
-    eprintln!(
-        "timing: total {:.3?} (prune {:.3?}, enumerate {:.3?}){}",
-        report.elapsed,
-        report.prune_elapsed,
-        report.enumerate_elapsed,
-        report
-            .truncated_by
-            .map(|r| format!(" truncated by {r}"))
-            .unwrap_or_default(),
-    );
+/// `prune` is the preparation time of a prepared route (a baseline
+/// prunes inside its run). With `--trace` the recorder holds a span
+/// tree and its indented `span ...` lines follow the summary, so the
+/// one-line timing and the detailed breakdown read as one block.
+fn report_timing(t0: Instant, prune: Option<Duration>, stats: &EnumStats, rec: &SpanRecorder) {
+    let total = t0.elapsed();
+    let phases = prune
+        .map(|p| format!(" (prune {p:.3?}, enumerate {:.3?})", total - p))
+        .unwrap_or_default();
+    let truncated = stats
+        .stop
+        .map(|r| format!(" truncated by {r}"))
+        .unwrap_or_default();
+    eprintln!("timing: total {total:.3?}{phases}{truncated}");
     for line in rec.render() {
         eprintln!("{line}");
     }
@@ -295,12 +299,19 @@ fn enumerate(
     order: VertexOrder,
     count_only: bool,
     top: Option<usize>,
-    budget: Option<std::time::Duration>,
+    budget: Option<Duration>,
     threads: usize,
     sorted: bool,
     substrate: Substrate,
     trace: bool,
 ) -> Result<(), CliError> {
+    // `--algo` selects among the serial algorithms only; the default
+    // runs on the parallel engine too.
+    if threads > 1 && algo != SsAlgorithm::FairBcemPP {
+        return Err(CliError::Usage(
+            "enumerate: --threads > 1 requires the default --algo bcem++".into(),
+        ));
+    }
     let g = load(source)?;
     let params = FairParams::new(alpha, beta, delta).map_err(|e| e.to_string())?;
     let cfg = RunConfig {
@@ -311,137 +322,68 @@ fn enumerate(
         substrate,
         ..RunConfig::default()
     };
-    let model = match (bi, theta.is_some()) {
-        (false, false) => "SSFBC",
-        (false, true) => "PSSFBC",
-        (true, false) => "BSFBC",
-        (true, true) => "PBSFBC",
-    };
     let pro = match theta {
         Some(t) => Some(ProParams::new(alpha, beta, delta, t).map_err(|e| e.to_string())?),
         None => None,
     };
-    // Span recording covers the collect paths, which run the same
-    // prepare/execute pipeline the service traces; the streaming
-    // modes (--count-only, --top, non-default --algo) report only the
-    // total. A disabled recorder renders nothing.
+    let model = match (bi, pro) {
+        (false, None) => QueryModel::Ssfbc(params),
+        (true, None) => QueryModel::Bsfbc(params),
+        (false, Some(p)) => QueryModel::Pssfbc(p),
+        (true, Some(p)) => QueryModel::Pbsfbc(p),
+    };
+    // Every mode records the same span vocabulary the service traces
+    // (prepare stages, enumerate, sort). A disabled recorder renders
+    // nothing.
     let mut rec = if trace {
         SpanRecorder::enabled()
     } else {
         SpanRecorder::disabled()
     };
 
-    // The collected path (any thread count) goes through the
-    // prepare/execute pipelines, which report per-phase timings (and,
-    // with --trace, a per-stage span tree).
-    let qmodel = match (bi, pro) {
-        (false, None) => QueryModel::Ssfbc(params),
-        (true, None) => QueryModel::Bsfbc(params),
-        (false, Some(p)) => QueryModel::Pssfbc(p),
-        (true, Some(p)) => QueryModel::Pbsfbc(p),
+    let t0 = Instant::now();
+    let baseline = |sink: &mut dyn BicliqueSink| match (bi, pro) {
+        (false, None) => run_ssfbc(&g, params, algo, &cfg, sink).1,
+        (true, None) => run_bsfbc(&g, params, bi_algo_of(algo), &cfg, sink).1,
+        (false, Some(p)) => run_pssfbc(&g, p, &cfg, sink).1,
+        (true, Some(p)) => run_pbsfbc(&g, p, &cfg, sink).1,
     };
-    let collect = |cfg: &RunConfig, rec: &mut SpanRecorder| -> RunReport {
-        let prepared = PreparedQuery::prepare_rec(
-            &g,
-            qmodel,
-            cfg.prune,
-            cfg.substrate,
-            &PrepareCtl::UNBOUNDED,
-            rec,
-        )
-        // fbe-lint: allow(no-panic-paths): PrepareCtl::UNBOUNDED never interrupts, so Err is unreachable — same contract PreparedQuery::prepare relies on
-        .expect("unbounded prepare is never interrupted");
-        prepared.execute_rec(cfg, rec)
+    let (route, prune) = if algo == SsAlgorithm::FairBcemPP {
+        let ctl = PrepareCtl::UNBOUNDED;
+        let plan = PreparedQuery::prepare_rec(&g, model, cfg.prune, substrate, &ctl, &mut rec)
+            // fbe-lint: allow(no-panic-paths): PrepareCtl::UNBOUNDED never interrupts, so Err is unreachable — same contract PreparedQuery::prepare relies on
+            .expect("unbounded prepare is never interrupted");
+        let prune = plan.prune_elapsed();
+        (Route::Prepared(Box::new(plan)), Some(prune))
+    } else {
+        (Route::Baseline(&baseline), None)
     };
 
-    // Multi-threaded runs go through the parallel engine (it works
-    // for every model); `--algo` selects among the serial algorithms
-    // only, so reject non-default choices.
-    if threads > 1 {
-        if algo != SsAlgorithm::FairBcemPP {
-            return Err(CliError::Usage(
-                "enumerate: --threads > 1 requires the default --algo bcem++".into(),
-            ));
-        }
-        // Counting and top-k stream into bounded per-worker sinks —
-        // no mode materializes more than it prints.
-        let t0 = std::time::Instant::now();
+    // Counting and top-k stream into bounded sinks (per-worker top-k
+    // sinks merge into one), so no mode materializes more than it
+    // prints.
+    let (stats, mut bicliques) = rec.timed("enumerate", || {
         if count_only {
-            let (_, _, stats) = par_stream(&g, params, pro, bi, &cfg, &CountSink::default);
-            eprintln!("timing: total {:.3?}", t0.elapsed());
-            return render(out, model, stats.emitted, stats.aborted, true, None, &[]);
-        }
-        if let Some(k) = top {
-            let (sinks, _, stats) = par_stream(&g, params, pro, bi, &cfg, &|| TopKSink::new(k));
+            (route.stream(&cfg, &CountSink::default).1, Vec::new())
+        } else if let Some(k) = top {
+            let (sinks, stats) = route.stream(&cfg, &|| TopKSink::new(k));
             let mut merged = TopKSink::new(k);
-            for sink in sinks {
-                for bc in sink.into_sorted() {
-                    fair_biclique::biclique::BicliqueSink::emit(&mut merged, &bc.upper, &bc.lower);
-                }
+            for bc in sinks.into_iter().flat_map(TopKSink::into_sorted) {
+                merged.emit(&bc.upper, &bc.lower);
             }
-            eprintln!("timing: total {:.3?}", t0.elapsed());
-            return render(
-                out,
-                model,
-                stats.emitted,
-                stats.aborted,
-                false,
-                Some(k),
-                &merged.into_sorted(),
-            );
+            (stats, merged.into_sorted())
+        } else {
+            let (sinks, stats) = route.stream(&cfg, &CollectSink::default);
+            (stats, sinks.into_iter().flat_map(|s| s.bicliques).collect())
         }
-        let report = collect(&cfg, &mut rec);
-        report_timing(&report, &rec);
-        let n = report.bicliques.len() as u64;
-        let aborted = report.stats.aborted;
-        return render(out, model, n, aborted, false, None, &report.bicliques);
+    });
+    rec.annotate_last(|| format!("threads={} {stats}", threads.max(1)));
+    if sorted && !count_only && top.is_none() {
+        rec.timed("sort", || canonical_order(&mut bicliques));
     }
-
-    let run = |sink: &mut dyn fair_biclique::biclique::BicliqueSink| -> (u64, bool) {
-        let stats = match (bi, pro) {
-            (false, None) => run_ssfbc(&g, params, algo, &cfg, sink).1,
-            (true, None) => run_bsfbc(&g, params, bi_algo_of(algo), &cfg, sink).1,
-            (false, Some(p)) => run_pssfbc(&g, p, &cfg, sink).1,
-            (true, Some(p)) => run_pbsfbc(&g, p, &cfg, sink).1,
-        };
-        (stats.emitted, stats.aborted)
-    };
-
-    let t0 = std::time::Instant::now();
-    if count_only {
-        let mut sink = CountSink::default();
-        let (n, aborted) = run(&mut sink);
-        eprintln!("timing: total {:.3?}", t0.elapsed());
-        return render(out, model, n, aborted, true, None, &[]);
-    }
-    if let Some(k) = top {
-        let mut sink = TopKSink::new(k);
-        let (n, aborted) = run(&mut sink);
-        eprintln!("timing: total {:.3?}", t0.elapsed());
-        return render(out, model, n, aborted, false, Some(k), &sink.into_sorted());
-    }
-    if algo == SsAlgorithm::FairBcemPP {
-        // Default algorithm: the prepared pipeline gives phase timings.
-        let report = collect(&cfg, &mut rec);
-        report_timing(&report, &rec);
-        return render(
-            out,
-            model,
-            report.stats.emitted,
-            report.stats.aborted,
-            false,
-            None,
-            &report.bicliques,
-        );
-    }
-    let mut sink = CollectSink::default();
-    let (n, aborted) = run(&mut sink);
-    eprintln!("timing: total {:.3?}", t0.elapsed());
-    let mut bicliques = sink.bicliques;
-    if sorted {
-        fair_biclique::results::canonical_order(&mut bicliques);
-    }
-    render(out, model, n, aborted, false, None, &bicliques)
+    report_timing(t0, prune, &stats, &rec);
+    let (n, aborted) = (stats.emitted, stats.aborted);
+    render(out, model.name(), n, aborted, count_only, top, &bicliques)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -454,7 +396,7 @@ fn maximum(
     bi: bool,
     metric: fair_biclique::maximum::SizeMetric,
     order: VertexOrder,
-    budget: Option<std::time::Duration>,
+    budget: Option<Duration>,
     threads: usize,
     substrate: Substrate,
 ) -> Result<(), CliError> {
@@ -467,7 +409,7 @@ fn maximum(
         substrate,
         ..RunConfig::default()
     };
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let (best, _) = if bi {
         fair_biclique::maximum::max_bsfbc(&g, params, metric, &cfg)
     } else {

@@ -60,7 +60,8 @@ combine with --attrs to declare domain sizes).
 
 --threads <N> with N > 1 runs any model (enumerate or maximum) on the
 work-stealing parallel engine; budgets stay global, and with --sorted
-the output is byte-identical across thread counts.
+the output is byte-identical across thread counts. The non-default
+--algo baselines run serially only.
 
 --substrate selects the candidate-set representation of the hot path:
 sorted-vec merge intersections, u64 bitset rows with popcount, or
@@ -71,9 +72,8 @@ Results are identical across substrates — only speed/memory differ.
 tree (prepare: core-peel / 2hop / colorful peels, plan-resolve,
 enumerate, sort — the same vocabulary the service's TRACE verb and
 SLOWLOG use; see the README's Observability section). Stdout stays
-byte-identical with and without it. Spans cover the collect paths; the
-streaming modes (--count-only, --top, non-default --algo) keep the
-one-line total.
+byte-identical with and without it. Every mode records spans; a
+non-default --algo baseline prunes inside its enumerate span.
 
 fbe serve starts the resident query service on a TCP port (0 picks an
 ephemeral port, printed on startup): named graphs are loaded once
@@ -252,21 +252,33 @@ mod tests {
         }
 
         // parallel count-only and top-k stream; results match serial
-        for extra in [vec!["--count-only"], vec!["--top", "2"]] {
-            let mut serial = sv(&[
-                "enumerate",
-                stem_s,
-                "--alpha",
-                "2",
-                "--beta",
-                "1",
-                "--delta",
-                "1",
-            ]);
-            serial.extend(sv(&extra));
-            let mut par = serial.clone();
-            par.extend(sv(&["--threads", "3"]));
-            assert_eq!(run(&par).unwrap(), run(&serial).unwrap(), "{extra:?}");
+        // for every model
+        let models = [
+            vec![],
+            vec!["--bi"],
+            vec!["--theta", "0.4"],
+            vec!["--bi", "--theta", "0.4"],
+        ];
+        for model in &models {
+            for extra in [vec!["--count-only"], vec!["--top", "2"]] {
+                let mut serial = sv(&[
+                    "enumerate",
+                    stem_s,
+                    "--alpha",
+                    "2",
+                    "--beta",
+                    "1",
+                    "--delta",
+                    "1",
+                ]);
+                serial.extend(sv(model));
+                serial.extend(sv(&extra));
+                let mut par = serial.clone();
+                par.extend(sv(&["--threads", "3"]));
+                let want = run(&serial).unwrap();
+                assert!(!want.contains(" count: 0"), "{model:?} {extra:?}: {want}");
+                assert_eq!(run(&par).unwrap(), want, "{model:?} {extra:?}");
+            }
         }
 
         // bi-side parallel goes through the engine too

@@ -19,9 +19,10 @@ use crate::biclique::{BicliqueSink, EnumStats};
 use crate::config::{
     Budget, BudgetClock, BudgetLane, FairParams, SharedBudget, Substrate, VertexOrder,
 };
+use crate::expansion::walk_on_pruned;
 use crate::fairbcem::fairbcem_with_clock;
-use crate::fairbcem_pp::fairbcem_pp_shared;
 use crate::fairset::{for_each_max_fair_subset, is_maximal_fair_subset, AttrCounts};
+use crate::prepared::QueryModel;
 use bigraph::candidate::{AdjOps, CandidateOps, CandidatePlan};
 use bigraph::{BipartiteGraph, Side, VertexId};
 
@@ -38,7 +39,7 @@ pub(crate) struct BiSideExpander<'a> {
     ops: AdjOps<'a>,
     /// Budget over upper-side expansion steps (one `Combination` can
     /// be binomially large).
-    clock: BudgetClock,
+    pub(crate) clock: BudgetClock,
     /// BSFBCs emitted so far.
     pub emitted: u64,
     groups: Vec<Vec<VertexId>>,
@@ -72,16 +73,6 @@ impl<'a> BiSideExpander<'a> {
             base: AttrCounts::zeros(n_attrs_l),
             cand: AttrCounts::zeros(n_attrs_l),
         }
-    }
-
-    /// True when the expansion budget expired (results are a subset).
-    pub(crate) fn aborted(&self) -> bool {
-        self.clock.exhausted
-    }
-
-    /// Why the expansion stage stopped (None while unexhausted).
-    pub(crate) fn stop_reason(&self) -> Option<crate::config::StopReason> {
-        self.clock.stop_reason()
     }
 
     pub(crate) fn expand(&mut self, l: &[VertexId], r: &[VertexId], sink: &mut dyn BicliqueSink) {
@@ -185,9 +176,8 @@ pub fn bfairbcem_on_pruned_with(
     };
     let inner_clock = shared.clock(BudgetLane::Walk).exempt_results();
     let mut stats = fairbcem_with_clock(g, params, order, inner_clock, &mut chain);
+    expander.clock.settle(&mut stats);
     stats.emitted = expander.emitted;
-    stats.aborted |= expander.aborted();
-    stats.stop = stats.stop.or_else(|| expander.stop_reason());
     stats
 }
 
@@ -213,36 +203,7 @@ pub fn bfairbcem_pp_on_pruned_with(
     substrate: Substrate,
     sink: &mut dyn BicliqueSink,
 ) -> EnumStats {
-    let plan = CandidatePlan::build(g, substrate, true);
-    bfairbcem_pp_planned(g, params, order, &SharedBudget::new(budget), &plan, sink)
-}
-
-/// `BFairBCEM++` on a pre-resolved [`CandidatePlan`] (built with upper
-/// rows) and an externally owned shared budget — the entry point the
-/// prepared-plan cache ([`crate::prepared`]) reuses across queries.
-pub(crate) fn bfairbcem_pp_planned(
-    g: &BipartiteGraph,
-    params: FairParams,
-    order: VertexOrder,
-    shared: &std::sync::Arc<SharedBudget>,
-    plan: &CandidatePlan,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    let mut expander = BiSideExpander::with_clock(
-        g,
-        params,
-        plan.ops(g, Side::Upper),
-        shared.clock(BudgetLane::Expand),
-    );
-    let mut chain = BiChainSink {
-        exp: &mut expander,
-        sink,
-    };
-    let mut stats = fairbcem_pp_shared(g, params, order, shared, true, plan, &mut chain);
-    stats.emitted = expander.emitted;
-    stats.aborted |= expander.aborted();
-    stats.stop = stats.stop.or_else(|| expander.stop_reason());
-    stats
+    walk_on_pruned(g, QueryModel::Bsfbc(params), order, budget, substrate, sink)
 }
 
 #[cfg(test)]

@@ -206,6 +206,16 @@ pub struct EnumStats {
     pub peak_search_bytes: usize,
 }
 
+impl std::fmt::Display for EnumStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "nodes={} emitted={} aborted={} peak_bytes={}",
+            self.nodes, self.emitted, self.aborted, self.peak_search_bytes
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

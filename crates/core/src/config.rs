@@ -478,6 +478,14 @@ impl BudgetClock {
             .or_else(|| self.shared.as_ref().and_then(|(s, _)| s.stop_reason()))
     }
 
+    /// Fold this clock's outcome into a run's statistics: an exhausted
+    /// clock marks the run aborted, and its stop reason counts only
+    /// when no earlier stage already recorded one.
+    pub(crate) fn settle(&self, stats: &mut crate::biclique::EnumStats) {
+        stats.aborted |= self.exhausted;
+        stats.stop = stats.stop.or_else(|| self.stop_reason());
+    }
+
     /// Stop this clock for `reason`, propagating to the shared budget
     /// (and thereby every sibling worker) when there is one.
     #[cold]

@@ -20,14 +20,12 @@
 //! subsets with `N(R*) = L*`.
 
 use crate::biclique::{BicliqueSink, EnumStats};
-use crate::config::{
-    Budget, BudgetClock, BudgetLane, FairParams, SharedBudget, Substrate, VertexOrder,
-};
+use crate::config::{Budget, BudgetClock, FairParams, Substrate, VertexOrder};
+use crate::expansion::walk_on_pruned;
 use crate::fairset::{for_each_max_fair_subset, is_fair, AttrCounts};
-use crate::mbea::{root_task, RBound, Walker};
-use bigraph::candidate::{AdjOps, CandidateOps, CandidatePlan};
+use crate::prepared::QueryModel;
+use bigraph::candidate::{AdjOps, CandidateOps};
 use bigraph::{BipartiteGraph, Side, VertexId};
-use std::sync::Arc;
 
 /// Run `FairBCEM++` on `g` (assumed already pruned; fair side = lower)
 /// on the adaptive candidate substrate.
@@ -51,62 +49,12 @@ pub fn fairbcem_pp_on_pruned_with(
     substrate: Substrate,
     sink: &mut dyn BicliqueSink,
 ) -> EnumStats {
-    let plan = CandidatePlan::build(g, substrate, false);
-    fairbcem_pp_shared(
-        g,
-        params,
-        order,
-        &SharedBudget::new(budget),
-        false,
-        &plan,
-        sink,
-    )
+    walk_on_pruned(g, QueryModel::Ssfbc(params), order, budget, substrate, sink)
 }
 
-/// `FairBCEM++` with walker and expander clocks drawn from one shared
-/// budget, so *any* exhausted limit — including the result cap, which
-/// only the expander's clock consumes — stops the whole walk.
-/// `intermediate` exempts emissions from the result budget (bi-side
-/// chains: SSFBCs feeding an upper-side expansion are not final
-/// results). Walker and expander both draw candidate ops from `plan`.
-pub(crate) fn fairbcem_pp_shared(
-    g: &BipartiteGraph,
-    params: FairParams,
-    order: VertexOrder,
-    shared: &Arc<SharedBudget>,
-    intermediate: bool,
-    plan: &CandidatePlan,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    let expand_clock = if intermediate {
-        shared.clock(BudgetLane::Expand).exempt_results()
-    } else {
-        shared.clock(BudgetLane::Expand)
-    };
-    let mut expander = SsExpander::with_clock(g, params, plan.ops(g, Side::Lower), expand_clock);
-    let mut walker = Walker::new(
-        g,
-        params.alpha as usize,
-        RBound::AttrBeta {
-            attrs: g.attrs(Side::Lower),
-            beta: params.beta,
-        },
-        plan.ops(g, Side::Lower),
-        shared.clock(BudgetLane::Walk),
-    );
-    walker.run(root_task(g, order, plan.choice()), &mut |l, r| {
-        expander.expand(l, r, sink)
-    });
-    let mut stats = walker.stats();
-    stats.emitted = expander.emitted;
-    stats.aborted |= expander.aborted();
-    stats.stop = stats.stop.or_else(|| expander.stop_reason());
-    stats
-}
-
-/// The expansion step of Algorithm 6 (lines 23–28), factored out so
-/// the serial and parallel drivers share it: given a maximal biclique
-/// `(L, R)` with `|L| ≥ α`, emit the SSFBCs it contains.
+/// The expansion step of Algorithm 6 (lines 23–28), run by the shared
+/// walk ([`crate::expansion`]): given a maximal biclique `(L, R)`
+/// with `|L| ≥ α`, emit the SSFBCs it contains.
 pub(crate) struct SsExpander<'a> {
     params: FairParams,
     attrs: &'a [bigraph::AttrValueId],
@@ -120,7 +68,7 @@ pub(crate) struct SsExpander<'a> {
     /// Budget over expansion steps: a single `Combination` can produce
     /// binomially many subsets, so the walker's node budget alone
     /// cannot bound a run.
-    clock: BudgetClock,
+    pub(crate) clock: BudgetClock,
     /// SSFBCs emitted so far.
     pub(crate) emitted: u64,
 }
@@ -145,17 +93,6 @@ impl<'a> SsExpander<'a> {
             clock,
             emitted: 0,
         }
-    }
-
-    /// True when the expansion budget expired mid-run (results are a
-    /// correct subset).
-    pub(crate) fn aborted(&self) -> bool {
-        self.clock.exhausted
-    }
-
-    /// Why the expansion stage stopped (None while unexhausted).
-    pub(crate) fn stop_reason(&self) -> Option<crate::config::StopReason> {
-        self.clock.stop_reason()
     }
 
     pub(crate) fn expand(&mut self, l: &[VertexId], r: &[VertexId], sink: &mut dyn BicliqueSink) {
@@ -292,7 +229,7 @@ mod tests {
 
     #[test]
     fn closure_check() {
-        use bigraph::candidate::CandidateOps;
+        use bigraph::candidate::{CandidateOps, CandidatePlan};
         let mut b = GraphBuilder::new(1, 1);
         for u in 0..3 {
             for v in 0..3 {

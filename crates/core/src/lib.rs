@@ -19,9 +19,11 @@
 //! * **Verification** — brute-force oracles ([`verify`]) used by the
 //!   test suite to certify every enumerator on thousands of random
 //!   graphs.
-//! * **Extensions** — a work-stealing parallel enumeration engine
-//!   driving all of the `++` miners and maximum search ([`parallel`];
-//!   opt in with [`config::RunConfig::threads`]), maximum fair
+//! * **Extensions** — prepared queries ([`prepared`]: prune and plan
+//!   once, then stream any number of runs), a work-stealing parallel
+//!   enumeration engine driving all of the `++` miners and maximum
+//!   search ([`parallel`]; opt in with
+//!   [`config::RunConfig::threads`]), maximum fair
 //!   biclique search ([`maximum`]), and an adaptive bitset candidate
 //!   substrate for the enumeration hot path
 //!   ([`config::RunConfig::substrate`]; see [`bigraph::candidate`]),
@@ -67,6 +69,7 @@ pub mod bfcore;
 pub mod biclique;
 pub mod cfcore;
 pub mod config;
+mod expansion;
 pub mod fairbcem;
 pub mod fairbcem_pp;
 pub mod fairset;

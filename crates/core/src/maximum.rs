@@ -9,7 +9,7 @@
 use crate::biclique::{Biclique, BicliqueSink};
 use crate::config::{FairParams, RunConfig};
 use crate::fcore::PruneStats;
-use crate::pipeline::{run_bsfbc, run_ssfbc, BiAlgorithm, SsAlgorithm};
+use crate::prepared::{PreparedQuery, QueryModel};
 use bigraph::{BipartiteGraph, VertexId};
 use serde::{Deserialize, Serialize};
 
@@ -78,43 +78,54 @@ impl BicliqueSink for MaxSink {
     }
 }
 
+/// Merge per-worker best-so-far sinks under the same deterministic
+/// tie-break, so a parallel maximum equals the serial one.
+pub(crate) fn merge_max(metric: SizeMetric, sinks: impl IntoIterator<Item = MaxSink>) -> MaxSink {
+    let mut merged = MaxSink::new(metric);
+    let mut seen = 0u64;
+    for s in sinks {
+        seen += s.seen;
+        if let Some(b) = s.best {
+            merged.emit(&b.upper, &b.lower);
+        }
+    }
+    merged.seen = seen;
+    merged
+}
+
 /// The largest single-side fair biclique of `g` under `metric`
 /// (`None` when no SSFBC exists). Exact; runs the `FairBCEM++`
-/// pipeline under the hood. `cfg.threads > 1` searches on the
-/// parallel engine ([`crate::parallel`]) with per-worker best-so-far
-/// sinks merged under the same deterministic tie-break.
+/// pipeline under the hood (prepare, then
+/// [`PreparedQuery::maximum`]), on the parallel engine when
+/// `cfg.threads > 1`.
 pub fn max_ssfbc(
     g: &BipartiteGraph,
     params: FairParams,
     metric: SizeMetric,
     cfg: &RunConfig,
 ) -> (Option<Biclique>, PruneStats) {
-    if cfg.threads > 1 {
-        let pruned = crate::pipeline::prune_single_side(g, params, cfg.prune);
-        let sink = crate::parallel::par_max_ssfbc(&pruned, params, metric, cfg);
-        return (sink.best, pruned.stats);
-    }
-    let mut sink = MaxSink::new(metric);
-    let (prune, _) = run_ssfbc(g, params, SsAlgorithm::FairBcemPP, cfg, &mut sink);
-    (sink.best, prune)
+    max_of(g, QueryModel::Ssfbc(params), metric, cfg)
 }
 
-/// The largest bi-side fair biclique of `g` under `metric`.
-/// `cfg.threads > 1` searches on the parallel engine.
+/// The largest bi-side fair biclique of `g` under `metric` (see
+/// [`max_ssfbc`]).
 pub fn max_bsfbc(
     g: &BipartiteGraph,
     params: FairParams,
     metric: SizeMetric,
     cfg: &RunConfig,
 ) -> (Option<Biclique>, PruneStats) {
-    if cfg.threads > 1 {
-        let pruned = crate::pipeline::prune_bi_side(g, params, cfg.prune);
-        let sink = crate::parallel::par_max_bsfbc(&pruned, params, metric, cfg);
-        return (sink.best, pruned.stats);
-    }
-    let mut sink = MaxSink::new(metric);
-    let (prune, _) = run_bsfbc(g, params, BiAlgorithm::BFairBcemPP, cfg, &mut sink);
-    (sink.best, prune)
+    max_of(g, QueryModel::Bsfbc(params), metric, cfg)
+}
+
+fn max_of(
+    g: &BipartiteGraph,
+    model: QueryModel,
+    metric: SizeMetric,
+    cfg: &RunConfig,
+) -> (Option<Biclique>, PruneStats) {
+    let plan = PreparedQuery::prepare(g, model, cfg.prune, cfg.substrate);
+    (plan.maximum(metric, cfg).0, *plan.prune_stats())
 }
 
 #[cfg(test)]

@@ -1,11 +1,15 @@
-//! Work-stealing parallel enumeration engine shared by every miner.
+//! Work-stealing parallel enumeration engine shared by every `++`
+//! miner.
 //!
 //! The paper's extension section parallelizes only single-side
-//! `FairBCEM++`; this module generalizes that into one engine that
-//! drives `FairBCEM++`, `BFairBCEM++`, the proportion enumerators
-//! (`FairBCEMPro++` / `BFairBCEMPro++`), and maximum fair biclique
-//! search. The serial enumerators are untouched — the engine reuses
-//! their [`Walker`](crate::mbea) and expander components verbatim.
+//! `FairBCEM++`; this engine runs all four `++` miners (`FairBCEM++`,
+//! `BFairBCEM++`, `FairBCEMPro++`, `BFairBCEMPro++`) and, through them,
+//! maximum fair biclique search. It has one entry point,
+//! [`crate::prepared::PreparedQuery::stream`], which forks here when
+//! `threads > 1` and otherwise runs the serial walk on the caller's
+//! thread. Both drive the same maximal-biclique [`Walker`](crate::mbea)
+//! and the same per-model expansion step, so a worker differs from the
+//! serial run only in which subtrees of the search tree it executes.
 //!
 //! # Design
 //!
@@ -48,10 +52,10 @@
 //!
 //! # Cancellation semantics
 //!
-//! A run whose [`Budget`] carries a [`crate::config::CancelToken`]
-//! ([`Budget::with_cancel`]) stops **cooperatively**: every worker's
-//! clocks — the maximal-biclique walker's and each expansion stage's —
-//! check the token at *branch granularity* (once per
+//! A run whose budget carries a [`crate::config::CancelToken`]
+//! ([`crate::config::Budget::with_cancel`]) stops **cooperatively**:
+//! every worker's clocks — the maximal-biclique walker's and each
+//! expansion stage's — check the token at *branch granularity* (once per
 //! `BudgetClock::tick`, i.e. per search-tree node or expansion step),
 //! so cancellation latency is bounded by a handful of branch
 //! expansions, not by subtree size. The first worker to observe the
@@ -73,56 +77,19 @@
 //!   in-flight query at shutdown) — each run observes it
 //!   independently.
 
-use crate::bfairbcem::{BiChainSink, BiSideExpander};
-use crate::biclique::{Biclique, BicliqueSink, CollectSink, EnumStats, MappingSink};
-use crate::config::{
-    Budget, BudgetClock, BudgetLane, FairParams, ProParams, RunConfig, SharedBudget, Substrate,
-    VertexOrder,
-};
-use crate::fairbcem_pp::SsExpander;
-use crate::fcore::{PruneOutcome, PruneStats};
-use crate::maximum::{MaxSink, SizeMetric};
-use crate::mbea::{root_task, BranchTask, RBound, Walker};
-use crate::pipeline::{prune_bi_side, prune_single_side, RunReport};
-use crate::proportion::{ProBiChainSink, ProBiSideExpander, ProSsExpander};
+use crate::biclique::{BicliqueSink, EnumStats, MappingSink};
+use crate::config::{BudgetLane, RunConfig, SharedBudget};
+use crate::expansion::{walker, Expansion};
+use crate::mbea::{root_task, BranchTask};
+use crate::prepared::QueryModel;
 use bigraph::candidate::CandidatePlan;
-use bigraph::{BipartiteGraph, Side, VertexId};
+use bigraph::subgraph::InducedSubgraph;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
 /// Hard ceiling on engine worker threads (values beyond this waste
 /// spawns and can hit OS thread limits long before they help).
 const MAX_THREADS: usize = 512;
-
-/// How a parallel run distributes work. The candidate substrate is no
-/// longer part of the options — workers draw it from the
-/// [`CandidatePlan`] the caller resolved (and possibly cached; see
-/// [`crate::prepared`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct EngineOpts {
-    /// Worker thread count (≥ 1).
-    pub(crate) threads: usize,
-    /// Depth down to which tasks re-split instead of running to
-    /// completion (≥ 1; 1 = top-level branches only).
-    pub(crate) split_depth: u32,
-}
-
-impl EngineOpts {
-    pub(crate) fn from_run(cfg: &RunConfig) -> Self {
-        EngineOpts {
-            threads: cfg.threads.max(1),
-            split_depth: cfg.split_depth.max(1),
-        }
-    }
-}
-
-/// Per-worker enumeration state driven by the engine: receives every
-/// maximal biclique of the worker's stolen subtrees.
-pub(crate) trait WalkVisitor: Send {
-    /// One maximal biclique (both sides sorted; borrow only for the
-    /// call).
-    fn visit(&mut self, l: &[VertexId], r: &[VertexId]);
-}
 
 /// The shared branch deque plus termination tracking.
 ///
@@ -200,26 +167,24 @@ impl Drop for TaskGuard<'_> {
     }
 }
 
-/// Run the maximal-biclique walk across `opts.threads` workers, each
-/// owning a visitor built by `make` (which receives a clock drawing
-/// from the run's shared expansion countdown).
+/// Run `model`'s miner on the pruned core `sub` across `cfg.threads`
+/// workers. Each worker owns a sink built by `make_sink` and receives
+/// its emissions in the original graph's ids (`sub`'s maps back to the
+/// parent), so counting, top-k and best-so-far sinks never
+/// materialize the result set.
 ///
-/// Returns the visitors in worker order plus the deterministically
-/// merged walk statistics (`emitted` counts *visited maximal
-/// bicliques*; drivers overwrite it with their emission counts).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn parallel_walk<V: WalkVisitor>(
-    g: &BipartiteGraph,
-    min_l: usize,
-    rbound: RBound<'_>,
-    order: VertexOrder,
-    budget: Budget,
-    opts: EngineOpts,
+/// Returns the sinks in worker order plus the deterministically
+/// merged statistics (`emitted` is the total result count).
+pub(crate) fn parallel_walk<S: BicliqueSink + Send>(
+    sub: &InducedSubgraph,
+    model: QueryModel,
     plan: &CandidatePlan,
-    make: &(dyn Fn(BudgetClock) -> V + Sync),
-) -> (Vec<V>, EnumStats) {
-    let split_depth = opts.split_depth.max(1);
-    let root = root_task(g, order, plan.choice());
+    cfg: &RunConfig,
+    make_sink: &(dyn Fn() -> S + Sync),
+) -> (Vec<S>, EnumStats) {
+    let g = &sub.graph;
+    let split_depth = cfg.split_depth.max(1);
+    let root = root_task(g, cfg.order, plan.choice());
     // Clamp the worker count: with top-level-only splitting no more
     // than one task per root candidate ever exists, and an absolute
     // cap keeps a huge `--threads` from hitting OS spawn limits.
@@ -228,41 +193,40 @@ pub(crate) fn parallel_walk<V: WalkVisitor>(
     } else {
         MAX_THREADS
     };
-    let threads = opts.threads.clamp(1, task_bound.min(MAX_THREADS));
-    let shared = SharedBudget::new(budget);
+    let threads = cfg.threads.clamp(1, task_bound.min(MAX_THREADS));
+    let shared = SharedBudget::new(cfg.budget.clone());
     let queue = TaskQueue::new(root);
 
-    let mut per_worker: Vec<(V, EnumStats)> = Vec::with_capacity(threads);
+    let mut per_worker: Vec<(S, EnumStats)> = Vec::with_capacity(threads);
     std::thread::scope(|s| {
         let mut handles = Vec::new();
         for _ in 0..threads {
             let queue = &queue;
             let shared = &shared;
             handles.push(s.spawn(move || {
-                let mut visitor = make(shared.clock(BudgetLane::Expand));
-                let mut walker = Walker::new(
-                    g,
-                    min_l,
-                    rbound,
-                    plan.ops(g, Side::Lower),
-                    shared.clock(BudgetLane::Walk),
-                );
+                let mut sink = make_sink();
+                let mut mapped =
+                    MappingSink::new(&sub.upper_to_parent, &sub.lower_to_parent, &mut sink);
+                let mut expansion =
+                    Expansion::new(model, g, plan, shared.clock(BudgetLane::Expand));
+                let mut walker = walker(model, g, plan, shared.clock(BudgetLane::Walk));
+                let mut visit = |l: &[_], r: &[_]| expansion.expand(l, r, &mut mapped);
                 while let Some(task) = queue.steal() {
-                    // Release the task slot even if the visitor panics
-                    // (a stuck `active` count would deadlock peers).
+                    // Release the task slot even if the sink panics (a
+                    // stuck `active` count would deadlock peers).
                     let _guard = TaskGuard { queue };
                     // Drain without work once any global limit trips.
                     if !shared.is_exhausted() {
                         if task.depth < split_depth {
-                            walker.split(task, &mut |l, r| visitor.visit(l, r), &mut |t| {
-                                queue.push(t)
-                            });
+                            walker.split(task, &mut visit, &mut |t| queue.push(t));
                         } else {
-                            walker.run(task, &mut |l, r| visitor.visit(l, r));
+                            walker.run(task, &mut visit);
                         }
                     }
                 }
-                (visitor, walker.stats())
+                let mut stats = walker.stats();
+                expansion.finish(&mut stats);
+                (sink, stats)
             }));
         }
         // Join every worker before re-raising a panic: peers keep
@@ -282,521 +246,30 @@ pub(crate) fn parallel_walk<V: WalkVisitor>(
     });
 
     let mut agg = EnumStats::default();
-    let mut visitors = Vec::with_capacity(per_worker.len());
-    for (v, st) in per_worker {
+    let mut sinks = Vec::with_capacity(per_worker.len());
+    for (sink, st) in per_worker {
         agg.nodes += st.nodes;
         agg.emitted += st.emitted;
         agg.aborted |= st.aborted;
         agg.stop = agg.stop.or(st.stop);
         agg.peak_search_bytes = agg.peak_search_bytes.max(st.peak_search_bytes);
-        visitors.push(v);
+        sinks.push(sink);
     }
     agg.aborted |= shared.is_exhausted();
     // The shared budget records the run-wide first cause; prefer it
     // over whichever worker-local reason happened to merge first.
     agg.stop = shared.stop_reason().or(agg.stop);
-    (visitors, agg)
-}
-
-fn fair_rbound(g: &BipartiteGraph, params: FairParams) -> RBound<'_> {
-    RBound::AttrBeta {
-        attrs: g.attrs(Side::Lower),
-        beta: params.beta,
-    }
-}
-
-// ---------------------------------------------------------------
-// Per-miner workers, generic over the per-worker sink.
-//
-// Emissions are translated to original-graph ids inline (the engine
-// runs on the compacted pruned graph), so every sink — counting,
-// top-k, best-so-far, collecting — sees final ids, and streaming
-// modes never materialize the result set.
-// ---------------------------------------------------------------
-
-struct SsWorker<'g, S> {
-    expander: SsExpander<'g>,
-    umap: &'g [VertexId],
-    lmap: &'g [VertexId],
-    sink: S,
-}
-
-impl<S: BicliqueSink + Send> WalkVisitor for SsWorker<'_, S> {
-    fn visit(&mut self, l: &[VertexId], r: &[VertexId]) {
-        let mut mapped = MappingSink::new(self.umap, self.lmap, &mut self.sink);
-        self.expander.expand(l, r, &mut mapped);
-    }
-}
-
-struct BiWorker<'g, S> {
-    ss: SsExpander<'g>,
-    bi: BiSideExpander<'g>,
-    umap: &'g [VertexId],
-    lmap: &'g [VertexId],
-    sink: S,
-}
-
-impl<S: BicliqueSink + Send> WalkVisitor for BiWorker<'_, S> {
-    fn visit(&mut self, l: &[VertexId], r: &[VertexId]) {
-        let mut mapped = MappingSink::new(self.umap, self.lmap, &mut self.sink);
-        let mut chain = BiChainSink {
-            exp: &mut self.bi,
-            sink: &mut mapped,
-        };
-        self.ss.expand(l, r, &mut chain);
-    }
-}
-
-struct ProSsWorker<'g, S> {
-    expander: ProSsExpander<'g>,
-    umap: &'g [VertexId],
-    lmap: &'g [VertexId],
-    sink: S,
-}
-
-impl<S: BicliqueSink + Send> WalkVisitor for ProSsWorker<'_, S> {
-    fn visit(&mut self, l: &[VertexId], r: &[VertexId]) {
-        let mut mapped = MappingSink::new(self.umap, self.lmap, &mut self.sink);
-        self.expander.expand(l, r, &mut mapped);
-    }
-}
-
-struct ProBiWorker<'g, S> {
-    ss: ProSsExpander<'g>,
-    bi: ProBiSideExpander<'g>,
-    umap: &'g [VertexId],
-    lmap: &'g [VertexId],
-    sink: S,
-}
-
-impl<S: BicliqueSink + Send> WalkVisitor for ProBiWorker<'_, S> {
-    fn visit(&mut self, l: &[VertexId], r: &[VertexId]) {
-        let mut mapped = MappingSink::new(self.umap, self.lmap, &mut self.sink);
-        let mut chain = ProBiChainSink {
-            exp: &mut self.bi,
-            sink: &mut mapped,
-        };
-        self.ss.expand(l, r, &mut chain);
-    }
-}
-
-// ---------------------------------------------------------------
-// Parallel miners on an already-pruned graph. Each returns the
-// per-worker sinks in worker order plus merged statistics.
-// ---------------------------------------------------------------
-
-/// The enumeration graph plus the id maps back to the caller's graph
-/// (identity maps when the graph was not pruned).
-pub(crate) struct MappedGraph<'g> {
-    pub(crate) g: &'g BipartiteGraph,
-    pub(crate) umap: &'g [VertexId],
-    pub(crate) lmap: &'g [VertexId],
-}
-
-impl<'g> MappedGraph<'g> {
-    pub(crate) fn of_pruned(pruned: &'g PruneOutcome) -> Self {
-        MappedGraph {
-            g: &pruned.sub.graph,
-            umap: &pruned.sub.upper_to_parent,
-            lmap: &pruned.sub.lower_to_parent,
-        }
-    }
-}
-
-pub(crate) fn par_ssfbc_workers<'g, S: BicliqueSink + Send>(
-    mg: &MappedGraph<'g>,
-    params: FairParams,
-    order: VertexOrder,
-    budget: Budget,
-    opts: EngineOpts,
-    plan: &CandidatePlan,
-    make_sink: &(dyn Fn() -> S + Sync),
-) -> (Vec<S>, EnumStats) {
-    let MappedGraph { g, umap, lmap } = *mg;
-    let (workers, mut stats) = parallel_walk(
-        g,
-        params.alpha as usize,
-        fair_rbound(g, params),
-        order,
-        budget,
-        opts,
-        plan,
-        &|clock| SsWorker {
-            expander: SsExpander::with_clock(g, params, plan.ops(g, Side::Lower), clock),
-            umap,
-            lmap,
-            sink: make_sink(),
-        },
-    );
-    let mut sinks = Vec::with_capacity(workers.len());
-    let mut emitted = 0u64;
-    for w in workers {
-        emitted += w.expander.emitted;
-        stats.aborted |= w.expander.aborted();
-        stats.stop = stats.stop.or_else(|| w.expander.stop_reason());
-        sinks.push(w.sink);
-    }
-    stats.emitted = emitted;
-    (sinks, stats)
-}
-
-pub(crate) fn par_bsfbc_workers<'g, S: BicliqueSink + Send>(
-    mg: &MappedGraph<'g>,
-    params: FairParams,
-    order: VertexOrder,
-    budget: Budget,
-    opts: EngineOpts,
-    plan: &CandidatePlan,
-    make_sink: &(dyn Fn() -> S + Sync),
-) -> (Vec<S>, EnumStats) {
-    let MappedGraph { g, umap, lmap } = *mg;
-    let (workers, mut stats) = parallel_walk(
-        g,
-        params.alpha as usize,
-        fair_rbound(g, params),
-        order,
-        budget,
-        opts,
-        plan,
-        &|clock| BiWorker {
-            // The SSFBC stage is intermediate: exempt from the result
-            // budget (only BSFBCs are final results).
-            ss: SsExpander::with_clock(
-                g,
-                params,
-                plan.ops(g, Side::Lower),
-                clock.clone().exempt_results(),
-            ),
-            bi: BiSideExpander::with_clock(g, params, plan.ops(g, Side::Upper), clock),
-            umap,
-            lmap,
-            sink: make_sink(),
-        },
-    );
-    let mut sinks = Vec::with_capacity(workers.len());
-    let mut emitted = 0u64;
-    for w in workers {
-        emitted += w.bi.emitted;
-        stats.aborted |= w.ss.aborted() | w.bi.aborted();
-        stats.stop = stats
-            .stop
-            .or_else(|| w.ss.stop_reason())
-            .or_else(|| w.bi.stop_reason());
-        sinks.push(w.sink);
-    }
-    stats.emitted = emitted;
-    (sinks, stats)
-}
-
-pub(crate) fn par_pssfbc_workers<'g, S: BicliqueSink + Send>(
-    mg: &MappedGraph<'g>,
-    pro: ProParams,
-    order: VertexOrder,
-    budget: Budget,
-    opts: EngineOpts,
-    plan: &CandidatePlan,
-    make_sink: &(dyn Fn() -> S + Sync),
-) -> (Vec<S>, EnumStats) {
-    let MappedGraph { g, umap, lmap } = *mg;
-    let (workers, mut stats) = parallel_walk(
-        g,
-        pro.base.alpha as usize,
-        fair_rbound(g, pro.base),
-        order,
-        budget,
-        opts,
-        plan,
-        &|clock| ProSsWorker {
-            expander: ProSsExpander::with_clock(g, pro, plan.ops(g, Side::Lower), clock),
-            umap,
-            lmap,
-            sink: make_sink(),
-        },
-    );
-    let mut sinks = Vec::with_capacity(workers.len());
-    let mut emitted = 0u64;
-    for w in workers {
-        emitted += w.expander.emitted;
-        stats.aborted |= w.expander.aborted();
-        stats.stop = stats.stop.or_else(|| w.expander.stop_reason());
-        sinks.push(w.sink);
-    }
-    stats.emitted = emitted;
-    (sinks, stats)
-}
-
-pub(crate) fn par_pbsfbc_workers<'g, S: BicliqueSink + Send>(
-    mg: &MappedGraph<'g>,
-    pro: ProParams,
-    order: VertexOrder,
-    budget: Budget,
-    opts: EngineOpts,
-    plan: &CandidatePlan,
-    make_sink: &(dyn Fn() -> S + Sync),
-) -> (Vec<S>, EnumStats) {
-    let MappedGraph { g, umap, lmap } = *mg;
-    let (workers, mut stats) = parallel_walk(
-        g,
-        pro.base.alpha as usize,
-        fair_rbound(g, pro.base),
-        order,
-        budget,
-        opts,
-        plan,
-        &|clock| ProBiWorker {
-            ss: ProSsExpander::with_clock(
-                g,
-                pro,
-                plan.ops(g, Side::Lower),
-                clock.clone().exempt_results(),
-            ),
-            bi: ProBiSideExpander::with_clock(g, pro, plan.ops(g, Side::Upper), clock),
-            umap,
-            lmap,
-            sink: make_sink(),
-        },
-    );
-    let mut sinks = Vec::with_capacity(workers.len());
-    let mut emitted = 0u64;
-    for w in workers {
-        emitted += w.bi.emitted;
-        stats.aborted |= w.ss.aborted() | w.bi.aborted();
-        stats.stop = stats
-            .stop
-            .or_else(|| w.ss.stop_reason())
-            .or_else(|| w.bi.stop_reason());
-        sinks.push(w.sink);
-    }
-    stats.emitted = emitted;
-    (sinks, stats)
-}
-
-// ---------------------------------------------------------------
-// Public streaming pipelines: prune → parallel enumerate into
-// per-worker sinks. The parallel analog of the `run_*` functions in
-// `pipeline` — counting or top-k runs never materialize the full
-// result set.
-// ---------------------------------------------------------------
-
-/// Parallel streaming SSFBC pipeline: prune, then enumerate across
-/// `cfg.threads` workers, each emitting (original ids) into its own
-/// sink from `make_sink`. Returns the sinks in worker order for the
-/// caller to merge, plus pruning and merged search statistics
-/// (`stats.emitted` is the total result count).
-pub fn par_run_ssfbc<S: BicliqueSink + Send>(
-    g: &BipartiteGraph,
-    params: FairParams,
-    cfg: &RunConfig,
-    make_sink: &(dyn Fn() -> S + Sync),
-) -> (Vec<S>, PruneStats, EnumStats) {
-    let pruned = prune_single_side(g, params, cfg.prune);
-    let plan = CandidatePlan::build(&pruned.sub.graph, cfg.substrate, false);
-    let (sinks, stats) = par_ssfbc_workers(
-        &MappedGraph::of_pruned(&pruned),
-        params,
-        cfg.order,
-        cfg.budget.clone(),
-        EngineOpts::from_run(cfg),
-        &plan,
-        make_sink,
-    );
-    (sinks, pruned.stats, stats)
-}
-
-/// Parallel streaming BSFBC pipeline (see [`par_run_ssfbc`]).
-pub fn par_run_bsfbc<S: BicliqueSink + Send>(
-    g: &BipartiteGraph,
-    params: FairParams,
-    cfg: &RunConfig,
-    make_sink: &(dyn Fn() -> S + Sync),
-) -> (Vec<S>, PruneStats, EnumStats) {
-    let pruned = prune_bi_side(g, params, cfg.prune);
-    let plan = CandidatePlan::build(&pruned.sub.graph, cfg.substrate, true);
-    let (sinks, stats) = par_bsfbc_workers(
-        &MappedGraph::of_pruned(&pruned),
-        params,
-        cfg.order,
-        cfg.budget.clone(),
-        EngineOpts::from_run(cfg),
-        &plan,
-        make_sink,
-    );
-    (sinks, pruned.stats, stats)
-}
-
-/// Parallel streaming PSSFBC pipeline (see [`par_run_ssfbc`]).
-pub fn par_run_pssfbc<S: BicliqueSink + Send>(
-    g: &BipartiteGraph,
-    pro: ProParams,
-    cfg: &RunConfig,
-    make_sink: &(dyn Fn() -> S + Sync),
-) -> (Vec<S>, PruneStats, EnumStats) {
-    let pruned = prune_single_side(g, pro.base, cfg.prune);
-    let plan = CandidatePlan::build(&pruned.sub.graph, cfg.substrate, false);
-    let (sinks, stats) = par_pssfbc_workers(
-        &MappedGraph::of_pruned(&pruned),
-        pro,
-        cfg.order,
-        cfg.budget.clone(),
-        EngineOpts::from_run(cfg),
-        &plan,
-        make_sink,
-    );
-    (sinks, pruned.stats, stats)
-}
-
-/// Parallel streaming PBSFBC pipeline (see [`par_run_ssfbc`]).
-pub fn par_run_pbsfbc<S: BicliqueSink + Send>(
-    g: &BipartiteGraph,
-    pro: ProParams,
-    cfg: &RunConfig,
-    make_sink: &(dyn Fn() -> S + Sync),
-) -> (Vec<S>, PruneStats, EnumStats) {
-    let pruned = prune_bi_side(g, pro.base, cfg.prune);
-    let plan = CandidatePlan::build(&pruned.sub.graph, cfg.substrate, true);
-    let (sinks, stats) = par_pbsfbc_workers(
-        &MappedGraph::of_pruned(&pruned),
-        pro,
-        cfg.order,
-        cfg.budget.clone(),
-        EngineOpts::from_run(cfg),
-        &plan,
-        make_sink,
-    );
-    (sinks, pruned.stats, stats)
-}
-
-// ---------------------------------------------------------------
-// Maximum fair biclique search.
-// ---------------------------------------------------------------
-
-pub(crate) fn merge_max(metric: SizeMetric, sinks: impl IntoIterator<Item = MaxSink>) -> MaxSink {
-    let mut merged = MaxSink::new(metric);
-    let mut seen = 0u64;
-    for s in sinks {
-        seen += s.seen;
-        if let Some(b) = s.best {
-            merged.emit(&b.upper, &b.lower);
-        }
-    }
-    merged.seen = seen;
-    merged
-}
-
-/// Parallel maximum-SSFBC search over an already-pruned graph; the
-/// returned sink holds the best biclique in *original* ids (the
-/// per-worker sinks rank translated emissions, so the `(score,
-/// lexicographic)` tie-break matches the serial pipeline).
-pub(crate) fn par_max_ssfbc(
-    pruned: &PruneOutcome,
-    params: FairParams,
-    metric: SizeMetric,
-    cfg: &RunConfig,
-) -> MaxSink {
-    let plan = CandidatePlan::build(&pruned.sub.graph, cfg.substrate, false);
-    let (sinks, _) = par_ssfbc_workers(
-        &MappedGraph::of_pruned(pruned),
-        params,
-        cfg.order,
-        cfg.budget.clone(),
-        EngineOpts::from_run(cfg),
-        &plan,
-        &|| MaxSink::new(metric),
-    );
-    merge_max(metric, sinks)
-}
-
-/// Parallel maximum-BSFBC search over an already-pruned graph.
-pub(crate) fn par_max_bsfbc(
-    pruned: &PruneOutcome,
-    params: FairParams,
-    metric: SizeMetric,
-    cfg: &RunConfig,
-) -> MaxSink {
-    let plan = CandidatePlan::build(&pruned.sub.graph, cfg.substrate, true);
-    let (sinks, _) = par_bsfbc_workers(
-        &MappedGraph::of_pruned(pruned),
-        params,
-        cfg.order,
-        cfg.budget.clone(),
-        EngineOpts::from_run(cfg),
-        &plan,
-        &|| MaxSink::new(metric),
-    );
-    merge_max(metric, sinks)
-}
-
-// ---------------------------------------------------------------
-// Back-compat wrappers around the engine.
-// ---------------------------------------------------------------
-
-/// Run `FairBCEM++` on an already-pruned graph across `n_threads`
-/// workers, returning the collected results (order unspecified) and
-/// aggregated statistics.
-///
-/// The budget is **global**: all workers share one countdown (earlier
-/// versions applied it per worker, allowing an `n_threads ×` overrun).
-pub fn fairbcem_pp_par_on_pruned(
-    g: &BipartiteGraph,
-    params: FairParams,
-    order: VertexOrder,
-    n_threads: usize,
-    budget: Budget,
-) -> (Vec<Biclique>, EnumStats) {
-    // The caller's graph is the enumeration graph: identity maps.
-    let umap: Vec<VertexId> = (0..g.n_upper() as VertexId).collect();
-    let lmap: Vec<VertexId> = (0..g.n_lower() as VertexId).collect();
-    let mg = MappedGraph {
-        g,
-        umap: &umap,
-        lmap: &lmap,
-    };
-    let plan = CandidatePlan::build(g, Substrate::Auto, false);
-    let (sinks, stats) = par_ssfbc_workers(
-        &mg,
-        params,
-        order,
-        budget,
-        EngineOpts {
-            threads: n_threads.max(1),
-            split_depth: 1,
-        },
-        &plan,
-        &CollectSink::default,
-    );
-    let mut all = Vec::new();
-    for s in sinks {
-        all.extend(s.bicliques);
-    }
-    (all, stats)
-}
-
-/// Full parallel SSFBC pipeline: prune (serial — it is near-linear),
-/// enumerate across `n_threads` workers, map ids back to the original
-/// graph, and sort for determinism.
-///
-/// Equivalent to [`crate::pipeline::enumerate_ssfbc`] with
-/// `cfg.threads = n_threads` and `cfg.sorted = true`.
-pub fn par_enumerate_ssfbc(
-    g: &BipartiteGraph,
-    params: FairParams,
-    cfg: &RunConfig,
-    n_threads: usize,
-) -> RunReport {
-    let cfg = RunConfig {
-        threads: n_threads.max(1),
-        sorted: true,
-        ..cfg.clone()
-    };
-    crate::pipeline::enumerate_ssfbc(g, params, &cfg)
+    (sinks, agg)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::config::VertexOrder;
+    use crate::biclique::{Biclique, BicliqueSink};
+    use crate::config::{Budget, FairParams, ProParams, RunConfig, VertexOrder};
     use crate::pipeline::{enumerate_bsfbc, enumerate_pbsfbc, enumerate_pssfbc, enumerate_ssfbc};
+    use crate::prepared::{PreparedQuery, QueryModel};
     use bigraph::generate::{plant_bicliques, random_uniform};
+    use bigraph::VertexId;
     use std::collections::BTreeSet;
 
     #[test]
@@ -809,7 +282,15 @@ mod tests {
                 .into_iter()
                 .collect();
             for threads in [1usize, 2, 4] {
-                let par = par_enumerate_ssfbc(&g, params, &RunConfig::default(), threads);
+                let par = enumerate_ssfbc(
+                    &g,
+                    params,
+                    &RunConfig {
+                        threads,
+                        sorted: true,
+                        ..RunConfig::default()
+                    },
+                );
                 let got: BTreeSet<Biclique> = par.bicliques.iter().cloned().collect();
                 assert_eq!(got.len(), par.bicliques.len(), "no duplicates");
                 assert_eq!(got, serial, "seed {seed} threads {threads}");
@@ -830,8 +311,12 @@ mod tests {
             .collect();
         assert!(!serial.is_empty());
         for order in [VertexOrder::IdAsc, VertexOrder::DegreeDesc] {
-            let cfg = RunConfig::with_order(order);
-            let par = par_enumerate_ssfbc(&g, params, &cfg, 4);
+            let cfg = RunConfig {
+                threads: 4,
+                sorted: true,
+                ..RunConfig::with_order(order)
+            };
+            let par = enumerate_ssfbc(&g, params, &cfg);
             let got: BTreeSet<Biclique> = par.bicliques.into_iter().collect();
             assert_eq!(got, serial, "order {order:?}");
         }
@@ -841,8 +326,13 @@ mod tests {
     fn parallel_output_is_sorted_and_deterministic() {
         let g = random_uniform(15, 15, 90, 2, 2, 8);
         let params = FairParams::unchecked(2, 1, 2);
-        let a = par_enumerate_ssfbc(&g, params, &RunConfig::default(), 3);
-        let b = par_enumerate_ssfbc(&g, params, &RunConfig::default(), 3);
+        let cfg = RunConfig {
+            threads: 3,
+            sorted: true,
+            ..RunConfig::default()
+        };
+        let a = enumerate_ssfbc(&g, params, &cfg);
+        let b = enumerate_ssfbc(&g, params, &cfg);
         assert_eq!(a.bicliques, b.bicliques);
         assert!(a.bicliques.windows(2).all(|w| w[0] <= w[1]));
     }
@@ -851,7 +341,15 @@ mod tests {
     fn single_thread_equals_serial_stats_shape() {
         let g = random_uniform(10, 10, 50, 2, 2, 5);
         let params = FairParams::unchecked(2, 1, 1);
-        let par = par_enumerate_ssfbc(&g, params, &RunConfig::default(), 1);
+        let par = enumerate_ssfbc(
+            &g,
+            params,
+            &RunConfig {
+                threads: 1,
+                sorted: true,
+                ..RunConfig::default()
+            },
+        );
         let ser = enumerate_ssfbc(&g, params, &RunConfig::default());
         assert_eq!(par.bicliques.len(), ser.bicliques.len());
         assert_eq!(par.stats.nodes, ser.stats.nodes);
@@ -982,7 +480,10 @@ mod tests {
         let params = FairParams::unchecked(2, 1, 1);
         let cfg = RunConfig::with_threads(4);
         let report = enumerate_ssfbc(&g, params, &cfg);
-        let (counts, prune, stats) = par_run_ssfbc(&g, params, &cfg, &CountSink::default);
+        let prepared =
+            PreparedQuery::prepare(&g, QueryModel::Ssfbc(params), cfg.prune, cfg.substrate);
+        let prune = *prepared.prune_stats();
+        let (counts, stats) = prepared.stream(&cfg, &CountSink::default);
         assert_eq!(
             counts.iter().map(|c| c.count).sum::<u64>(),
             report.bicliques.len() as u64
@@ -991,16 +492,16 @@ mod tests {
         assert_eq!(prune, report.prune);
         // Per-worker top-k sinks merge to the serial top-k set.
         let k = 5usize;
-        let (tops, _, _) = par_run_ssfbc(&g, params, &cfg, &|| TopKSink::new(k));
+        let (tops, _) = prepared.stream(&cfg, &|| TopKSink::new(k));
         let mut merged = TopKSink::new(k);
         for t in tops {
             for bc in t.into_sorted() {
-                crate::biclique::BicliqueSink::emit(&mut merged, &bc.upper, &bc.lower);
+                merged.emit(&bc.upper, &bc.lower);
             }
         }
         let mut serial_top = TopKSink::new(k);
         for bc in &report.bicliques {
-            crate::biclique::BicliqueSink::emit(&mut serial_top, &bc.upper, &bc.lower);
+            serial_top.emit(&bc.upper, &bc.lower);
         }
         assert_eq!(merged.into_sorted(), serial_top.into_sorted());
     }
@@ -1035,9 +536,11 @@ mod tests {
         assert!(total > 4, "need enough results to panic mid-run");
 
         let cfg = RunConfig::with_threads(4);
+        let prepared =
+            PreparedQuery::prepare(&g, QueryModel::Ssfbc(params), cfg.prune, cfg.substrate);
         let emitted = Arc::new(AtomicU64::new(0));
         let result = catch_unwind(AssertUnwindSafe(|| {
-            par_run_ssfbc(&g, params, &cfg, &|| PanicSink {
+            prepared.stream(&cfg, &|| PanicSink {
                 emitted: emitted.clone(),
                 nth: 3,
             })
@@ -1050,7 +553,15 @@ mod tests {
         assert!(emitted.load(Ordering::Relaxed) >= 3);
 
         // The engine stays usable after a panicked run.
-        let again = par_enumerate_ssfbc(&g, params, &RunConfig::default(), 4);
+        let again = enumerate_ssfbc(
+            &g,
+            params,
+            &RunConfig {
+                threads: 4,
+                sorted: true,
+                ..RunConfig::default()
+            },
+        );
         assert_eq!(again.bicliques.len() as u64, total);
     }
 

@@ -76,25 +76,21 @@ pub struct RunReport {
 
 /// Run the pruning stage configured for a single-side problem.
 pub fn prune_single_side(g: &BipartiteGraph, params: FairParams, kind: PruneKind) -> PruneOutcome {
-    prune_single_side_ctl(g, params, kind, &PrepareCtl::UNBOUNDED)
-        .expect("unbounded prepare is never interrupted")
+    prune_single_side_rec(
+        g,
+        params,
+        kind,
+        &PrepareCtl::UNBOUNDED,
+        &mut SpanRecorder::disabled(),
+    )
+    .expect("unbounded prepare is never interrupted")
 }
 
-/// [`prune_single_side`] with cooperative interruption: the prune
-/// cascade probes `ctl` at stage boundaries and (counter-gated) inside
-/// the peel loops, aborting with the interrupting [`StopReason`].
-pub fn prune_single_side_ctl(
-    g: &BipartiteGraph,
-    params: FairParams,
-    kind: PruneKind,
-    ctl: &PrepareCtl,
-) -> Result<PruneOutcome, StopReason> {
-    prune_single_side_rec(g, params, kind, ctl, &mut SpanRecorder::disabled())
-}
-
-/// [`prune_single_side_ctl`] with a [`SpanRecorder`] attributing wall
-/// time to the prune stages. A disabled recorder makes this identical
-/// to [`prune_single_side_ctl`].
+/// [`prune_single_side`] with cooperative interruption and a
+/// [`SpanRecorder`]: the prune cascade probes `ctl` at stage
+/// boundaries and (counter-gated) inside the peel loops, aborting with
+/// the interrupting [`StopReason`], and the recorder attributes wall
+/// time to the prune stages.
 pub fn prune_single_side_rec(
     g: &BipartiteGraph,
     params: FairParams,
@@ -112,23 +108,18 @@ pub fn prune_single_side_rec(
 /// Run the pruning stage configured for a bi-side problem
 /// (`FCore` maps to `BFCore`, `Colorful` to `BCFCore`).
 pub fn prune_bi_side(g: &BipartiteGraph, params: FairParams, kind: PruneKind) -> PruneOutcome {
-    prune_bi_side_ctl(g, params, kind, &PrepareCtl::UNBOUNDED)
-        .expect("unbounded prepare is never interrupted")
+    prune_bi_side_rec(
+        g,
+        params,
+        kind,
+        &PrepareCtl::UNBOUNDED,
+        &mut SpanRecorder::disabled(),
+    )
+    .expect("unbounded prepare is never interrupted")
 }
 
-/// [`prune_bi_side`] with cooperative interruption (see
-/// [`prune_single_side_ctl`]).
-pub fn prune_bi_side_ctl(
-    g: &BipartiteGraph,
-    params: FairParams,
-    kind: PruneKind,
-    ctl: &PrepareCtl,
-) -> Result<PruneOutcome, StopReason> {
-    prune_bi_side_rec(g, params, kind, ctl, &mut SpanRecorder::disabled())
-}
-
-/// [`prune_bi_side_ctl`] with a [`SpanRecorder`] (see
-/// [`prune_single_side_rec`]).
+/// [`prune_bi_side`] with cooperative interruption and a
+/// [`SpanRecorder`] (see [`prune_single_side_rec`]).
 pub fn prune_bi_side_rec(
     g: &BipartiteGraph,
     params: FairParams,

@@ -1,38 +1,37 @@
 //! Prepared queries: pay pruning + candidate-plan construction once,
 //! enumerate many times.
 //!
-//! Every pipeline in this crate runs three phases: (1) FCore/CFCore
-//! pruning (which internally builds the colorful 2-hop structure),
-//! (2) [`CandidatePlan`] resolution (substrate choice + bitset-row
-//! construction on the pruned core), and (3) enumeration. For a
-//! one-shot CLI run the phases are fused; a resident query service
-//! answering repeated queries over the same graph wants to amortize
-//! (1) and (2). A [`PreparedQuery`] captures exactly that reusable
-//! state — the compacted pruned core with its id maps back to the
-//! original graph, and the resolved plan (rows shared by reference
-//! across workers) — and can then [`PreparedQuery::execute`] any
-//! number of times, serially or on the parallel engine, each run with
-//! its own budget/deadline/cancellation.
+//! Every query runs three phases: (1) FCore/CFCore pruning (which
+//! internally builds the colorful 2-hop structure), (2)
+//! [`CandidatePlan`] resolution (substrate choice + bitset-row
+//! construction on the pruned core), and (3) enumeration. A resident
+//! query service answering repeated queries over the same graph wants
+//! to amortize (1) and (2). A [`PreparedQuery`] captures exactly that
+//! reusable state — the compacted pruned core with its id maps back to
+//! the original graph, and the resolved plan (rows shared by reference
+//! across workers) — and can then enumerate any number of times, each
+//! run with its own budget/deadline/cancellation.
 //!
-//! The collected pipelines in [`crate::pipeline`] are thin wrappers
-//! over this module (prepare → execute), so prepared execution is
-//! bit-identical to the one-shot paths by construction.
+//! Enumeration has one path: [`PreparedQuery::stream`] runs the
+//! model's miner into caller-built sinks, serially on the caller's
+//! thread or, when `threads > 1`, on the work-stealing engine
+//! ([`crate::parallel`]). [`PreparedQuery::execute`],
+//! [`PreparedQuery::count`] and [`PreparedQuery::maximum`] are that
+//! stream with a collecting, counting or best-so-far sink, and the
+//! collected pipelines in [`crate::pipeline`] are one-shot
+//! prepare → execute runs, so prepared execution is bit-identical to
+//! them by construction.
 
-use crate::bfairbcem::bfairbcem_pp_planned;
 use crate::biclique::{Biclique, BicliqueSink, CollectSink, CountSink, EnumStats, MappingSink};
 use crate::config::{
-    FairParams, PrepareCtl, ProParams, PruneKind, RunConfig, SharedBudget, StopReason, Substrate,
+    FairParams, PrepareCtl, ProParams, PruneKind, RunConfig, StopReason, Substrate,
 };
-use crate::fairbcem_pp::fairbcem_pp_shared;
+use crate::expansion::walk;
 use crate::fcore::{PruneOutcome, PruneStats};
-use crate::maximum::{MaxSink, SizeMetric};
+use crate::maximum::{merge_max, MaxSink, SizeMetric};
 use crate::obs::SpanRecorder;
-use crate::parallel::{
-    merge_max, par_bsfbc_workers, par_pbsfbc_workers, par_pssfbc_workers, par_ssfbc_workers,
-    EngineOpts, MappedGraph,
-};
+use crate::parallel::parallel_walk;
 use crate::pipeline::{prune_bi_side_rec, prune_single_side_rec, RunReport};
-use crate::proportion::{bfairbcem_pro_pp_planned, fairbcem_pro_pp_shared};
 use bigraph::candidate::CandidatePlan;
 use bigraph::BipartiteGraph;
 use std::time::{Duration, Instant};
@@ -111,41 +110,33 @@ impl PreparedQuery {
         prune: PruneKind,
         substrate: Substrate,
     ) -> PreparedQuery {
-        Self::prepare_bounded(g, model, prune, substrate, &PrepareCtl::UNBOUNDED)
-            .expect("unbounded prepare is never interrupted")
-    }
-
-    /// [`PreparedQuery::prepare`] under a deadline/cancellation bound:
-    /// the prune cascade probes `ctl` at its stage boundaries (and,
-    /// counter-gated, inside the peel loops) and aborts with the
-    /// interrupting [`StopReason`] instead of running to completion.
-    /// No partial plan is produced on `Err` — the caller retries the
-    /// prepare later (or reports the truncation) rather than caching
-    /// a half-pruned core.
-    pub fn prepare_bounded(
-        g: &BipartiteGraph,
-        model: QueryModel,
-        prune: PruneKind,
-        substrate: Substrate,
-        ctl: &PrepareCtl,
-    ) -> Result<PreparedQuery, StopReason> {
         Self::prepare_rec(
             g,
             model,
             prune,
             substrate,
-            ctl,
+            &PrepareCtl::UNBOUNDED,
             &mut SpanRecorder::disabled(),
         )
+        .expect("unbounded prepare is never interrupted")
     }
 
-    /// [`PreparedQuery::prepare_bounded`] with a [`SpanRecorder`]: the
-    /// preparation runs under a `prepare` scope span whose children
+    /// [`PreparedQuery::prepare`] under a deadline/cancellation bound,
+    /// with a [`SpanRecorder`].
+    ///
+    /// The prune cascade probes `ctl` at its stage boundaries (and,
+    /// counter-gated, inside the peel loops) and aborts with the
+    /// interrupting [`StopReason`] instead of running to completion.
+    /// No partial plan is produced on `Err` — the caller retries the
+    /// prepare later (or reports the truncation) rather than caching
+    /// a half-pruned core.
+    ///
+    /// The preparation runs under a `prepare` scope span whose children
     /// attribute wall time to the prune cascade's stages (`core-peel`,
     /// `2hop`, `ego-core`, `colorful-lower`, `colorful-upper`,
     /// `re-peel` — whichever the prune kind runs) and to
     /// `plan-resolve` (degree relabel + candidate-plan construction).
-    /// A disabled recorder makes this identical to `prepare_bounded`.
+    /// A disabled recorder records nothing.
     pub fn prepare_rec(
         g: &BipartiteGraph,
         model: QueryModel,
@@ -221,56 +212,30 @@ impl PreparedQuery {
         csr + self.plan.heap_bytes()
     }
 
-    /// Serial enumeration on the cached core/plan, streaming
-    /// original-id results into `sink`.
-    fn stream_serial(&self, cfg: &RunConfig, sink: &mut dyn BicliqueSink) -> EnumStats {
-        let g = &self.pruned.sub.graph;
-        let shared = SharedBudget::new(cfg.budget.clone());
-        let mut mapped = MappingSink::new(
-            &self.pruned.sub.upper_to_parent,
-            &self.pruned.sub.lower_to_parent,
-            sink,
-        );
-        match self.model {
-            QueryModel::Ssfbc(p) => {
-                fairbcem_pp_shared(g, p, cfg.order, &shared, false, &self.plan, &mut mapped)
-            }
-            QueryModel::Bsfbc(p) => {
-                bfairbcem_pp_planned(g, p, cfg.order, &shared, &self.plan, &mut mapped)
-            }
-            QueryModel::Pssfbc(p) => {
-                fairbcem_pro_pp_shared(g, p, cfg.order, &shared, false, &self.plan, &mut mapped)
-            }
-            QueryModel::Pbsfbc(p) => {
-                bfairbcem_pro_pp_planned(g, p, cfg.order, &shared, &self.plan, &mut mapped)
-            }
-        }
-    }
-
-    /// Parallel enumeration on the cached core/plan across
-    /// `cfg.threads` workers, each with its own sink.
-    fn stream_parallel<S: BicliqueSink + Send>(
+    /// Run the model's miner on the cached core/plan, streaming
+    /// original-id results into sinks built by `make_sink`, under the
+    /// budget, order and thread count of `cfg`.
+    ///
+    /// With `cfg.threads <= 1` one sink is built and the walk runs on
+    /// the caller's thread (no spawn, no split). Otherwise the
+    /// work-stealing engine runs `cfg.threads` workers, each with its
+    /// own sink. Returns the sinks (in worker order) for the caller to
+    /// merge, plus the merged statistics (`stats.emitted` is the total
+    /// result count).
+    pub fn stream<S: BicliqueSink + Send>(
         &self,
         cfg: &RunConfig,
         make_sink: &(dyn Fn() -> S + Sync),
     ) -> (Vec<S>, EnumStats) {
-        let mg = MappedGraph::of_pruned(&self.pruned);
-        let opts = EngineOpts::from_run(cfg);
-        let budget = cfg.budget.clone();
-        match self.model {
-            QueryModel::Ssfbc(p) => {
-                par_ssfbc_workers(&mg, p, cfg.order, budget, opts, &self.plan, make_sink)
-            }
-            QueryModel::Bsfbc(p) => {
-                par_bsfbc_workers(&mg, p, cfg.order, budget, opts, &self.plan, make_sink)
-            }
-            QueryModel::Pssfbc(p) => {
-                par_pssfbc_workers(&mg, p, cfg.order, budget, opts, &self.plan, make_sink)
-            }
-            QueryModel::Pbsfbc(p) => {
-                par_pbsfbc_workers(&mg, p, cfg.order, budget, opts, &self.plan, make_sink)
-            }
+        let sub = &self.pruned.sub;
+        if cfg.threads > 1 {
+            return parallel_walk(sub, self.model, &self.plan, cfg, make_sink);
         }
+        let mut sink = make_sink();
+        let mut mapped = MappingSink::new(&sub.upper_to_parent, &sub.lower_to_parent, &mut sink);
+        let (g, budget) = (&sub.graph, cfg.budget.clone());
+        let stats = walk(g, self.model, &self.plan, cfg.order, budget, &mut mapped);
+        (vec![sink], stats)
     }
 
     fn report(
@@ -303,26 +268,19 @@ impl PreparedQuery {
     /// [`PreparedQuery::execute`] with a [`SpanRecorder`]: records an
     /// `enumerate` span (with the run's [`EnumStats`] attached as
     /// detail) and, when `cfg.sorted`, a `sort` span for the canonical
-    /// reorder/merge. Spans are recorded only at this single-threaded
+    /// reorder. Spans are recorded only at this single-threaded
     /// orchestration boundary — never inside the parallel workers —
     /// so the recorder cannot perturb enumeration. A disabled recorder
     /// makes this identical to `execute`.
     pub fn execute_rec(&self, cfg: &RunConfig, rec: &mut SpanRecorder) -> RunReport {
         let t0 = Instant::now();
-        let (mut bicliques, stats) = rec.timed("enumerate", || {
-            if cfg.threads > 1 {
-                let (sinks, stats) = self.stream_parallel(cfg, &CollectSink::default);
-                let mut all = Vec::new();
-                for s in sinks {
-                    all.extend(s.bicliques);
-                }
-                (all, stats)
-            } else {
-                let mut sink = CollectSink::default();
-                let stats = self.stream_serial(cfg, &mut sink);
-                (sink.bicliques, stats)
-            }
-        });
+        let (sinks, stats) = rec.timed("enumerate", || self.stream(cfg, &CollectSink::default));
+        // A serial run's single sink is moved, not copied.
+        let mut sinks = sinks.into_iter().map(|s| s.bicliques);
+        let mut bicliques = sinks.next().unwrap_or_default();
+        for more in sinks {
+            bicliques.extend(more);
+        }
         annotate_enumerate(rec, &stats, cfg.threads.max(1));
         if cfg.sorted {
             rec.timed("sort", || {
@@ -342,15 +300,7 @@ impl PreparedQuery {
     /// [`PreparedQuery::execute_rec`]; counting has no `sort` span).
     pub fn count_rec(&self, cfg: &RunConfig, rec: &mut SpanRecorder) -> RunReport {
         let t0 = Instant::now();
-        let stats = rec.timed("enumerate", || {
-            if cfg.threads > 1 {
-                let (_, stats) = self.stream_parallel(cfg, &CountSink::default);
-                stats
-            } else {
-                let mut sink = CountSink::default();
-                self.stream_serial(cfg, &mut sink)
-            }
-        });
+        let (_, stats) = rec.timed("enumerate", || self.stream(cfg, &CountSink::default));
         annotate_enumerate(rec, &stats, cfg.threads.max(1));
         self.report(Vec::new(), stats, cfg, t0.elapsed())
     }
@@ -364,39 +314,25 @@ impl PreparedQuery {
     }
 
     /// [`PreparedQuery::maximum`] with a [`SpanRecorder`]: records
-    /// `enumerate` for the search and `sort` for the cross-worker
-    /// maximum merge (parallel runs only).
+    /// `enumerate` for the search and `sort` for the merge of the
+    /// per-worker maxima.
     pub fn maximum_rec(
         &self,
         metric: SizeMetric,
         cfg: &RunConfig,
         rec: &mut SpanRecorder,
     ) -> (Option<Biclique>, EnumStats) {
-        if cfg.threads > 1 {
-            let (sinks, stats) = rec.timed("enumerate", || {
-                self.stream_parallel(cfg, &|| MaxSink::new(metric))
-            });
-            annotate_enumerate(rec, &stats, cfg.threads.max(1));
-            let best = rec.timed("sort", || merge_max(metric, sinks).best);
-            (best, stats)
-        } else {
-            let mut sink = MaxSink::new(metric);
-            let stats = rec.timed("enumerate", || self.stream_serial(cfg, &mut sink));
-            annotate_enumerate(rec, &stats, cfg.threads.max(1));
-            (sink.best, stats)
-        }
+        let (sinks, stats) = rec.timed("enumerate", || self.stream(cfg, &|| MaxSink::new(metric)));
+        annotate_enumerate(rec, &stats, cfg.threads.max(1));
+        let best = rec.timed("sort", || merge_max(metric, sinks).best);
+        (best, stats)
     }
 }
 
 /// Attach the run's [`EnumStats`] as detail on the just-recorded
 /// `enumerate` span (no-op when disabled).
 fn annotate_enumerate(rec: &mut SpanRecorder, stats: &EnumStats, threads: usize) {
-    rec.annotate_last(|| {
-        format!(
-            "threads={} nodes={} emitted={} aborted={} peak_bytes={}",
-            threads, stats.nodes, stats.emitted, stats.aborted, stats.peak_search_bytes
-        )
-    });
+    rec.annotate_last(|| format!("threads={threads} {stats}"));
 }
 
 #[cfg(test)]
@@ -507,7 +443,7 @@ mod tests {
     }
 
     #[test]
-    fn prepare_bounded_aborts_on_expired_ctl() {
+    fn prepare_rec_aborts_on_expired_ctl() {
         let g = random_uniform(16, 18, 120, 2, 2, 4);
         for model in models() {
             // Expired deadline: the first probe trips before any stage
@@ -518,7 +454,14 @@ mod tests {
                     deadline_at: Some(Instant::now()),
                     cancel: None,
                 };
-                let got = PreparedQuery::prepare_bounded(&g, model, prune, Substrate::Auto, &ctl);
+                let got = PreparedQuery::prepare_rec(
+                    &g,
+                    model,
+                    prune,
+                    Substrate::Auto,
+                    &ctl,
+                    &mut SpanRecorder::disabled(),
+                );
                 assert!(
                     matches!(got, Err(StopReason::Deadline)),
                     "{model} {prune:?} should abort on expired deadline"
@@ -531,21 +474,23 @@ mod tests {
                 deadline_at: None,
                 cancel: Some(token),
             };
-            let got = PreparedQuery::prepare_bounded(
+            let got = PreparedQuery::prepare_rec(
                 &g,
                 model,
                 PruneKind::Colorful,
                 Substrate::Auto,
                 &ctl,
+                &mut SpanRecorder::disabled(),
             );
             assert!(matches!(got, Err(StopReason::Cancelled)), "{model}");
             // An unbounded ctl prepares normally and matches `prepare`.
-            let bounded = PreparedQuery::prepare_bounded(
+            let bounded = PreparedQuery::prepare_rec(
                 &g,
                 model,
                 PruneKind::Colorful,
                 Substrate::Auto,
                 &PrepareCtl::UNBOUNDED,
+                &mut SpanRecorder::disabled(),
             )
             .unwrap();
             let plain = PreparedQuery::prepare(&g, model, PruneKind::Colorful, Substrate::Auto);

@@ -12,19 +12,14 @@
 //!   form on the paper's two-value domains — property-tested).
 
 use crate::biclique::{BicliqueSink, EnumStats};
-use crate::config::{
-    Budget, BudgetClock, BudgetLane, ProParams, SharedBudget, Substrate, VertexOrder,
-};
+use crate::config::{Budget, BudgetClock, ProParams, Substrate, VertexOrder};
+use crate::expansion::walk_on_pruned;
 use crate::fairset::{
     for_each_max_pro_fair_subset, is_fair_pro, is_maximal_fair_subset_pro, AttrCounts,
 };
-use crate::mbea::{root_task, RBound, Walker};
-use bigraph::candidate::{AdjOps, CandidateOps, CandidatePlan};
+use crate::prepared::QueryModel;
+use bigraph::candidate::{AdjOps, CandidateOps};
 use bigraph::{BipartiteGraph, Side, VertexId};
-
-/// Shorthand for the shared-budget handle the chained drivers pass
-/// around.
-type SharedArc = std::sync::Arc<SharedBudget>;
 
 /// Run `FairBCEMPro++` on `g` (assumed already pruned; fair side =
 /// lower): enumerate all proportion single-side fair bicliques.
@@ -47,56 +42,7 @@ pub fn fairbcem_pro_pp_on_pruned_with(
     substrate: Substrate,
     sink: &mut dyn BicliqueSink,
 ) -> EnumStats {
-    let plan = CandidatePlan::build(g, substrate, false);
-    fairbcem_pro_pp_shared(
-        g,
-        pro,
-        order,
-        &SharedBudget::new(budget),
-        false,
-        &plan,
-        sink,
-    )
-}
-
-/// `FairBCEMPro++` with all clocks drawn from one shared budget, so
-/// any exhausted limit — including the result cap — stops the whole
-/// walk. `intermediate` exempts emissions from the result budget
-/// (the PBSFBC chain).
-pub(crate) fn fairbcem_pro_pp_shared(
-    g: &BipartiteGraph,
-    pro: ProParams,
-    order: VertexOrder,
-    shared: &SharedArc,
-    intermediate: bool,
-    plan: &CandidatePlan,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    let params = pro.base;
-    let expand_clock = if intermediate {
-        shared.clock(BudgetLane::Expand).exempt_results()
-    } else {
-        shared.clock(BudgetLane::Expand)
-    };
-    let mut expander = ProSsExpander::with_clock(g, pro, plan.ops(g, Side::Lower), expand_clock);
-    let mut walker = Walker::new(
-        g,
-        params.alpha as usize,
-        RBound::AttrBeta {
-            attrs: g.attrs(Side::Lower),
-            beta: params.beta,
-        },
-        plan.ops(g, Side::Lower),
-        shared.clock(BudgetLane::Walk),
-    );
-    walker.run(root_task(g, order, plan.choice()), &mut |l, r| {
-        expander.expand(l, r, sink)
-    });
-    let mut stats = walker.stats();
-    stats.emitted = expander.emitted;
-    stats.aborted |= expander.aborted();
-    stats.stop = stats.stop.or_else(|| expander.stop_reason());
-    stats
+    walk_on_pruned(g, QueryModel::Pssfbc(pro), order, budget, substrate, sink)
 }
 
 /// The proportion analog of [`crate::fairbcem_pp::SsExpander`]: given
@@ -114,7 +60,7 @@ pub(crate) struct ProSsExpander<'a> {
     ops: AdjOps<'a>,
     /// Budget over expansion steps: a single `CombinationPro` can be
     /// binomially large.
-    clock: BudgetClock,
+    pub(crate) clock: BudgetClock,
     /// PSSFBCs emitted so far.
     pub(crate) emitted: u64,
 }
@@ -139,17 +85,6 @@ impl<'a> ProSsExpander<'a> {
             clock,
             emitted: 0,
         }
-    }
-
-    /// True when the expansion budget expired mid-run (results are a
-    /// correct subset).
-    pub(crate) fn aborted(&self) -> bool {
-        self.clock.exhausted
-    }
-
-    /// Why the expansion stage stopped (None while unexhausted).
-    pub(crate) fn stop_reason(&self) -> Option<crate::config::StopReason> {
-        self.clock.stop_reason()
     }
 
     pub(crate) fn expand(&mut self, l: &[VertexId], r: &[VertexId], sink: &mut dyn BicliqueSink) {
@@ -220,39 +155,7 @@ pub fn bfairbcem_pro_pp_on_pruned_with(
     substrate: Substrate,
     sink: &mut dyn BicliqueSink,
 ) -> EnumStats {
-    // One shared budget: the PSSFBC stage is intermediate (exempt
-    // from the result cap — only PBSFBCs are final results), and any
-    // tripped limit stops the whole chain.
-    let plan = CandidatePlan::build(g, substrate, true);
-    bfairbcem_pro_pp_planned(g, pro, order, &SharedBudget::new(budget), &plan, sink)
-}
-
-/// `BFairBCEMPro++` on a pre-resolved [`CandidatePlan`] (built with
-/// upper rows) and an externally owned shared budget — the entry point
-/// the prepared-plan cache ([`crate::prepared`]) reuses across queries.
-pub(crate) fn bfairbcem_pro_pp_planned(
-    g: &BipartiteGraph,
-    pro: ProParams,
-    order: VertexOrder,
-    shared: &SharedArc,
-    plan: &CandidatePlan,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    let mut expander = ProBiSideExpander::with_clock(
-        g,
-        pro,
-        plan.ops(g, Side::Upper),
-        shared.clock(BudgetLane::Expand),
-    );
-    let mut chain = ProBiChainSink {
-        exp: &mut expander,
-        sink,
-    };
-    let mut stats = fairbcem_pro_pp_shared(g, pro, order, shared, true, plan, &mut chain);
-    stats.emitted = expander.emitted;
-    stats.aborted |= expander.aborted();
-    stats.stop = stats.stop.or_else(|| expander.stop_reason());
-    stats
+    walk_on_pruned(g, QueryModel::Pbsfbc(pro), order, budget, substrate, sink)
 }
 
 /// The upper-side expansion step from PSSFBCs to the PBSFBCs
@@ -262,7 +165,7 @@ pub(crate) struct ProBiSideExpander<'a> {
     pro: ProParams,
     /// Upper-side candidate ops (`N(l')` intersects upper adjacency).
     ops: AdjOps<'a>,
-    clock: BudgetClock,
+    pub(crate) clock: BudgetClock,
     pub(crate) emitted: u64,
     groups: Vec<Vec<VertexId>>,
     /// Long-lived scratch for the per-subset MFSCheck: `N(l')`, the
@@ -295,16 +198,6 @@ impl<'a> ProBiSideExpander<'a> {
             base: AttrCounts::zeros(n_attrs_l),
             cand: AttrCounts::zeros(n_attrs_l),
         }
-    }
-
-    /// True when the expansion budget expired (results are a subset).
-    pub(crate) fn aborted(&self) -> bool {
-        self.clock.exhausted
-    }
-
-    /// Why the expansion stage stopped (None while unexhausted).
-    pub(crate) fn stop_reason(&self) -> Option<crate::config::StopReason> {
-        self.clock.stop_reason()
     }
 
     pub(crate) fn expand(&mut self, l: &[VertexId], r: &[VertexId], sink: &mut dyn BicliqueSink) {

@@ -54,6 +54,24 @@ impl std::fmt::Display for Dataset {
     }
 }
 
+impl std::str::FromStr for Dataset {
+    type Err = String;
+
+    /// Case-insensitive: the display names plus the `wikicat` / `wiki`
+    /// aliases of `Wiki-cat`. Shared by the CLI's `--dataset` and the
+    /// protocol's `GEN`.
+    fn from_str(s: &str) -> Result<Dataset, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "youtube" => Ok(Dataset::Youtube),
+            "twitter" => Ok(Dataset::Twitter),
+            "imdb" => Ok(Dataset::Imdb),
+            "wiki-cat" | "wikicat" | "wiki" => Ok(Dataset::WikiCat),
+            "dblp" => Ok(Dataset::Dblp),
+            other => Err(format!("unknown dataset {other:?}")),
+        }
+    }
+}
+
 /// Generation recipe plus the paper's default parameters for one
 /// dataset (Table I's `α*_s, β*_s, α*_b, β*_b, δ*, θ*` columns).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -307,6 +325,17 @@ mod tests {
         assert_eq!(s.bi_params().beta, 6);
         assert!((s.single_pro_params().theta - 0.4).abs() < 1e-12);
         assert_eq!(s.bi_pro_params().base.delta, 2);
+    }
+
+    #[test]
+    fn dataset_aliases() {
+        assert_eq!("wiki".parse::<Dataset>().unwrap(), Dataset::WikiCat);
+        assert_eq!("IMDB".parse::<Dataset>().unwrap(), Dataset::Imdb);
+        assert!("wiki_cat".parse::<Dataset>().is_err());
+        // Every display name parses back to its dataset.
+        for d in Dataset::ALL {
+            assert_eq!(d.to_string().parse::<Dataset>(), Ok(d), "{d}");
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! shortlist the top-k, and summarize the whole result space.
 //!
 //! Exercises the extension APIs: [`fair_biclique::maximum`],
-//! [`fair_biclique::biclique::TopKSink`],
-//! [`fair_biclique::parallel::par_enumerate_ssfbc`] and
+//! [`fair_biclique::biclique::TopKSink`], the parallel engine (via
+//! [`fair_biclique::config::RunConfig::threads`]) and
 //! [`fair_biclique::results`].
 //!
 //! ```text
@@ -12,7 +12,6 @@
 //! ```
 
 use fair_biclique::maximum::{max_ssfbc, SizeMetric};
-use fair_biclique::parallel::par_enumerate_ssfbc;
 use fair_biclique::pipeline::run_ssfbc;
 use fair_biclique::prelude::*;
 use fair_biclique::results::{group_by_lower_signature, summarize};
@@ -59,8 +58,13 @@ fn main() {
         println!("  {p} papers x {s} scholars: {bc}");
     }
 
-    // 3. Whole-result-space statistics via the parallel driver.
-    let report = par_enumerate_ssfbc(g, params, &RunConfig::default(), 4);
+    // 3. Whole-result-space statistics on the parallel engine.
+    let cfg = RunConfig {
+        threads: 4,
+        sorted: true,
+        ..RunConfig::default()
+    };
+    let report = enumerate_ssfbc(g, params, &cfg);
     let summary = summarize(g, &report.bicliques);
     println!(
         "\nacross all {} teams: sizes {}..{}, mean {:.1} papers x {:.1} scholars, \

@@ -5,7 +5,6 @@
 use fair_biclique::biclique::Biclique;
 use fair_biclique::config::{FairParams, RunConfig};
 use fair_biclique::maximum::{max_bsfbc, max_ssfbc, SizeMetric};
-use fair_biclique::parallel::par_enumerate_ssfbc;
 use fair_biclique::pipeline::{
     enumerate_bsfbc, enumerate_pbsfbc, enumerate_pssfbc, enumerate_ssfbc,
 };
@@ -23,7 +22,15 @@ fn parallel_matches_serial_on_youtube_corpus() {
         .collect();
     assert!(!serial.is_empty());
     for threads in [2usize, 4, 8] {
-        let par = par_enumerate_ssfbc(&g, params, &RunConfig::default(), threads);
+        let par = enumerate_ssfbc(
+            &g,
+            params,
+            &RunConfig {
+                threads,
+                sorted: true,
+                ..RunConfig::default()
+            },
+        );
         let got: BTreeSet<Biclique> = par.bicliques.iter().cloned().collect();
         assert_eq!(
             got.len(),
