@@ -14,7 +14,7 @@ use fair_biclique::config::{
 };
 use fair_biclique::obs::SpanRecorder;
 use fair_biclique::pipeline::{
-    prune_bi_side, prune_single_side, run_bsfbc, run_pbsfbc, run_pssfbc, run_ssfbc, SsAlgorithm,
+    prune_bi_side, prune_single_side, run_bsfbc, run_ssfbc, SsAlgorithm,
 };
 use fair_biclique::prepared::{PreparedQuery, QueryModel};
 use fair_biclique::results::canonical_order;
@@ -312,6 +312,12 @@ fn enumerate(
             "enumerate: --threads > 1 requires the default --algo bcem++".into(),
         ));
     }
+    // The proportion models have no baseline algorithm.
+    if theta.is_some() && algo != SsAlgorithm::FairBcemPP {
+        return Err(CliError::Usage(
+            "enumerate: --theta requires the default --algo bcem++".into(),
+        ));
+    }
     let g = load(source)?;
     let params = FairParams::new(alpha, beta, delta).map_err(|e| e.to_string())?;
     let cfg = RunConfig {
@@ -342,11 +348,12 @@ fn enumerate(
     };
 
     let t0 = Instant::now();
-    let baseline = |sink: &mut dyn BicliqueSink| match (bi, pro) {
-        (false, None) => run_ssfbc(&g, params, algo, &cfg, sink).1,
-        (true, None) => run_bsfbc(&g, params, bi_algo_of(algo), &cfg, sink).1,
-        (false, Some(p)) => run_pssfbc(&g, p, &cfg, sink).1,
-        (true, Some(p)) => run_pbsfbc(&g, p, &cfg, sink).1,
+    let baseline = |sink: &mut dyn BicliqueSink| {
+        if bi {
+            run_bsfbc(&g, params, bi_algo_of(algo), &cfg, sink).1
+        } else {
+            run_ssfbc(&g, params, algo, &cfg, sink).1
+        }
     };
     let (route, prune) = if algo == SsAlgorithm::FairBcemPP {
         let ctl = PrepareCtl::UNBOUNDED;

@@ -61,7 +61,8 @@ combine with --attrs to declare domain sizes).
 --threads <N> with N > 1 runs any model (enumerate or maximum) on the
 work-stealing parallel engine; budgets stay global, and with --sorted
 the output is byte-identical across thread counts. The non-default
---algo baselines run serially only.
+--algo baselines run serially only, and only for the absolute models
+(no --theta).
 
 --substrate selects the candidate-set representation of the hot path:
 sorted-vec merge intersections, u64 bitset rows with popcount, or
@@ -374,6 +375,38 @@ mod tests {
         let st = run(&sv(&["stats", stem.to_str().unwrap()])).unwrap();
         assert!(st.contains("|U|=1473"), "{st}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn theta_with_a_baseline_algo_is_a_usage_error() {
+        // No proportion baseline exists, so `--theta` with `--algo`
+        // other than the default is refused before the graph loads.
+        for algo in ["nsf", "bcem"] {
+            for bi in [false, true] {
+                let mut argv = sv(&[
+                    "enumerate",
+                    "/nonexistent",
+                    "--alpha",
+                    "1",
+                    "--beta",
+                    "1",
+                    "--delta",
+                    "1",
+                    "--theta",
+                    "0.3",
+                    "--algo",
+                    algo,
+                ]);
+                if bi {
+                    argv.push("--bi".into());
+                }
+                let err = run_to(&argv, &mut Vec::new()).unwrap_err();
+                assert!(
+                    matches!(&err, CliError::Usage(m) if m.contains("--theta requires the default --algo")),
+                    "{algo} bi={bi}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

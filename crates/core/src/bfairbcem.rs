@@ -1,5 +1,5 @@
 //! `BFairBCEM` / `BFairBCEM++` (Algorithm 9): bi-side fair biclique
-//! enumeration.
+//! enumeration, and its proportion form `BFairBCEMPro++` (§IV-C).
 //!
 //! Both algorithms rest on Observation 6: for any BSFBC `(A, B)`, the
 //! pair `(N(B), B)` is a *single-side* fair biclique — `B` is fair, and
@@ -14,33 +14,44 @@
 //!
 //! Non-redundancy: an emitted pair determines its source SSFBC
 //! (`L' = N(R')`), and `Combination` emits each `l'` once.
+//!
+//! `BiSideExpander` is this expansion step for every bi-side model:
+//! step 1 applies the model's upper-side `FairRule` `(α, δ, θ)` and
+//! step 2 its lower-side rule `(β, δ, θ)`, so `BFairBCEMPro++` is the
+//! same chain with `CombinationPro` and the proportion `MFSCheck`.
+//! `BFairBCEM++` and `BFairBCEMPro++` run through
+//! [`crate::expansion::walk_on_pruned`]; `BFairBCEM` chains the
+//! expander behind the branch-and-bound `FairBCEM` here.
 
 use crate::biclique::{BicliqueSink, EnumStats};
 use crate::config::{
     Budget, BudgetClock, BudgetLane, FairParams, SharedBudget, Substrate, VertexOrder,
 };
-use crate::expansion::walk_on_pruned;
 use crate::fairbcem::fairbcem_with_clock;
-use crate::fairset::{for_each_max_fair_subset, is_maximal_fair_subset, AttrCounts};
+use crate::fairset::{AttrCounts, FairRule};
 use crate::prepared::QueryModel;
 use bigraph::candidate::{AdjOps, CandidateOps, CandidatePlan};
 use bigraph::{BipartiteGraph, Side, VertexId};
 
-/// The upper-side expansion step of Algorithm 9 (lines 4–8): given an
-/// SSFBC `(L', R')`, emit the BSFBCs contained in it.
+/// The upper-side expansion step of Algorithm 9 (lines 4–8): given a
+/// single-side result `(L', R')`, emit the bi-side results contained
+/// in it.
 ///
 /// Holds no sink — callers pass one per call ([`BiChainSink`] wires
 /// it behind an SSFBC enumerator; the parallel engine gives each
 /// worker its own expander + sink pair).
 pub(crate) struct BiSideExpander<'a> {
     g: &'a BipartiteGraph,
-    params: FairParams,
+    /// `Combination` over `L'` (`α`).
+    upper: FairRule,
+    /// `MFSCheck` of `R'` against `N(l')` (`β`).
+    lower: FairRule,
     /// Upper-side candidate ops (`N(l')` intersects upper adjacency).
     ops: AdjOps<'a>,
     /// Budget over upper-side expansion steps (one `Combination` can
     /// be binomially large).
     pub(crate) clock: BudgetClock,
-    /// BSFBCs emitted so far.
+    /// Results emitted so far.
     pub emitted: u64,
     groups: Vec<Vec<VertexId>>,
     /// Long-lived scratch for the per-subset MFSCheck: `N(l')`, the
@@ -56,7 +67,7 @@ impl<'a> BiSideExpander<'a> {
     /// drawing from the shared rows and countdown.
     pub(crate) fn with_clock(
         g: &'a BipartiteGraph,
-        params: FairParams,
+        model: QueryModel,
         ops: AdjOps<'a>,
         clock: BudgetClock,
     ) -> Self {
@@ -64,7 +75,8 @@ impl<'a> BiSideExpander<'a> {
         let n_attrs_l = (g.n_attr_values(Side::Lower) as usize).max(1);
         BiSideExpander {
             g,
-            params,
+            upper: model.upper_rule(),
+            lower: model.lower_rule(),
             ops,
             clock,
             emitted: 0,
@@ -90,14 +102,14 @@ impl<'a> BiSideExpander<'a> {
         }
 
         self.base.recount(r, attrs_l);
-        let params = self.params;
+        let lower = self.lower;
         let ops = &mut self.ops;
         let emitted = &mut self.emitted;
         let clock = &mut self.clock;
         let nl = &mut self.nl;
         let base = &self.base;
         let cand = &mut self.cand;
-        for_each_max_fair_subset(&self.groups, params.alpha, params.delta, &mut |l_sub| {
+        self.upper.for_each_max_subset(&self.groups, &mut |l_sub| {
             // Candidates for extending R': N(l_sub) \ R'.
             ops.common_neighbors_into(l_sub, nl);
             debug_assert!(bigraph::is_sorted_subset(r, nl), "R' ⊆ N(l')");
@@ -112,9 +124,7 @@ impl<'a> BiSideExpander<'a> {
                 }
                 cand.inc(attrs_l[v as usize]);
             }
-            if is_maximal_fair_subset(base.as_slice(), cand.as_slice(), params.beta, params.delta)
-                && clock.try_result()
-            {
+            if lower.is_maximal_subset(base.as_slice(), cand.as_slice()) && clock.try_result() {
                 sink.emit(l_sub, r);
                 *emitted += 1;
             }
@@ -123,12 +133,12 @@ impl<'a> BiSideExpander<'a> {
     }
 }
 
-/// [`BicliqueSink`] adapter chaining an SSFBC enumerator into
+/// [`BicliqueSink`] adapter chaining a single-side enumerator into
 /// [`BiSideExpander::expand`] with a downstream sink.
 pub(crate) struct BiChainSink<'x, 'g> {
     /// The bi-side expansion state.
     pub(crate) exp: &'x mut BiSideExpander<'g>,
-    /// Where BSFBCs land.
+    /// Where the bi-side results land.
     pub(crate) sink: &'x mut dyn BicliqueSink,
 }
 
@@ -166,7 +176,7 @@ pub fn bfairbcem_on_pruned_with(
     let shared = SharedBudget::new(budget);
     let mut expander = BiSideExpander::with_clock(
         g,
-        params,
+        QueryModel::Bsfbc(params),
         plan.ops(g, Side::Upper),
         shared.clock(BudgetLane::Expand),
     );
@@ -181,35 +191,11 @@ pub fn bfairbcem_on_pruned_with(
     stats
 }
 
-/// `BFairBCEM++`: bi-side enumeration driven by `FairBCEM++`.
-pub fn bfairbcem_pp_on_pruned(
-    g: &BipartiteGraph,
-    params: FairParams,
-    order: VertexOrder,
-    budget: Budget,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    bfairbcem_pp_on_pruned_with(g, params, order, budget, Substrate::Auto, sink)
-}
-
-/// [`bfairbcem_pp_on_pruned`] with an explicit candidate substrate
-/// shared by the walker, the fair-side expansion, and the upper-side
-/// expansion.
-pub fn bfairbcem_pp_on_pruned_with(
-    g: &BipartiteGraph,
-    params: FairParams,
-    order: VertexOrder,
-    budget: Budget,
-    substrate: Substrate,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    walk_on_pruned(g, QueryModel::Bsfbc(params), order, budget, substrate, sink)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::biclique::{Biclique, CollectSink};
+    use crate::expansion::walk_on_pruned;
     use crate::verify::oracle_bsfbc;
     use bigraph::generate::random_uniform;
     use bigraph::GraphBuilder;
@@ -223,7 +209,15 @@ mod tests {
     ) -> BTreeSet<Biclique> {
         let mut sink = CollectSink::default();
         let stats = if pp {
-            bfairbcem_pp_on_pruned(g, params, order, Budget::UNLIMITED, &mut sink)
+            let model = QueryModel::Bsfbc(params);
+            walk_on_pruned(
+                g,
+                model,
+                order,
+                Budget::UNLIMITED,
+                Substrate::Auto,
+                &mut sink,
+            )
         } else {
             bfairbcem_on_pruned(g, params, order, Budget::UNLIMITED, &mut sink)
         };

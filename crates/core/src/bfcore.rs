@@ -150,24 +150,21 @@ pub fn bfcore_ctl(
 /// colorful pruning of the upper side (flipped graph, threshold β, ego
 /// colorful α-core) → final `BFCore`.
 pub fn bcfcore(g: &BipartiteGraph, params: FairParams) -> PruneOutcome {
-    bcfcore_ctl(g, params, &PrepareCtl::UNBOUNDED).expect("unbounded prepare is never interrupted")
+    bcfcore_rec(
+        g,
+        params,
+        &PrepareCtl::UNBOUNDED,
+        &mut SpanRecorder::disabled(),
+    )
+    .expect("unbounded prepare is never interrupted")
 }
 
-/// [`bcfcore`] with cooperative interruption: `ctl` is threaded into
-/// the `BFCore` peels and probed before each colorful stage (each
-/// builds a 2-hop projection, the dominant cost of the cascade).
-pub fn bcfcore_ctl(
-    g: &BipartiteGraph,
-    params: FairParams,
-    ctl: &PrepareCtl,
-) -> Result<PruneOutcome, StopReason> {
-    bcfcore_rec(g, params, ctl, &mut SpanRecorder::disabled())
-}
-
-/// [`bcfcore_ctl`] with a [`SpanRecorder`] attributing wall time to the
-/// cascade's stages (`core-peel`, `colorful-lower`, `colorful-upper`,
-/// `re-peel`). A disabled recorder makes this identical to
-/// [`bcfcore_ctl`].
+/// [`bcfcore`] with cooperative interruption and a [`SpanRecorder`].
+/// `ctl` is threaded into the `BFCore` peels and probed before each
+/// colorful stage (each builds a 2-hop projection, the dominant cost
+/// of the cascade); the recorder attributes wall time to the stages
+/// (`core-peel`, `colorful-lower`, `colorful-upper`, `re-peel`). A
+/// disabled recorder reads no clock and allocates nothing.
 pub fn bcfcore_rec(
     g: &BipartiteGraph,
     params: FairParams,

@@ -107,26 +107,23 @@ pub fn ego_colorful_core(h: &UniGraph, k: u32) -> Vec<bool> {
 /// `CFCore` (Algorithm 2): colorful fair α-β core pruning for the
 /// single-side model.
 pub fn cfcore(g: &BipartiteGraph, params: FairParams) -> PruneOutcome {
-    cfcore_ctl(g, params, &PrepareCtl::UNBOUNDED).expect("unbounded prepare is never interrupted")
+    cfcore_rec(
+        g,
+        params,
+        &PrepareCtl::UNBOUNDED,
+        &mut SpanRecorder::disabled(),
+    )
+    .expect("unbounded prepare is never interrupted")
 }
 
-/// [`cfcore`] with cooperative interruption: `ctl` is threaded into the
-/// `FCore` peels and probed between the cascade's stages (the 2-hop
-/// projection and the coloring are the expensive phases, so each stage
-/// boundary is a natural abort point).
-pub fn cfcore_ctl(
-    g: &BipartiteGraph,
-    params: FairParams,
-    ctl: &PrepareCtl,
-) -> Result<PruneOutcome, StopReason> {
-    cfcore_rec(g, params, ctl, &mut SpanRecorder::disabled())
-}
-
-/// [`cfcore_ctl`] with per-stage span recording: the initial peel
-/// (`core-peel`), the 2-hop projection (`2hop`), the degree filter +
-/// ego colorful core (`ego-core`), and the final re-peel (`re-peel`)
-/// each become one span. A disabled recorder makes this identical to
-/// [`cfcore_ctl`] (no clock reads, no allocation).
+/// [`cfcore`] with cooperative interruption and per-stage span
+/// recording. `ctl` is threaded into the `FCore` peels and probed
+/// between the cascade's stages (the 2-hop projection and the coloring
+/// are the expensive phases, so each stage boundary is a natural abort
+/// point). The initial peel (`core-peel`), the 2-hop projection
+/// (`2hop`), the degree filter + ego colorful core (`ego-core`), and
+/// the final re-peel (`re-peel`) each become one span; a disabled
+/// recorder reads no clock and allocates nothing.
 pub fn cfcore_rec(
     g: &BipartiteGraph,
     params: FairParams,

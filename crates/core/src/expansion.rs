@@ -5,10 +5,13 @@
 //! differ only in how each maximal biclique is expanded. `FairBCEM++`
 //! (Algorithm 6) runs `Combination` over its fair side, `BFairBCEM++`
 //! (Algorithm 9) chains an upper-side expansion after that, and the
-//! proportion variants swap in `CombinationPro`. [`Expansion`] is that
-//! difference, built once from a [`QueryModel`]. [`walk`] is the serial
-//! walk over it; the work-stealing engine ([`crate::parallel`]) gives
-//! each worker its own [`Expansion`] and [`walker`] on the same plan.
+//! proportion variants are the same two expansions under a fairness
+//! rule that carries `θ` ([`crate::fairset`]'s `FairRule`, taken from
+//! the [`QueryModel`]). `Expansion` is that difference, built once
+//! from a [`QueryModel`]. `walk` is the serial walk over it, and
+//! [`walk_on_pruned`] the public entry point on a pruned graph; the
+//! work-stealing engine ([`crate::parallel`]) gives each worker its
+//! own `Expansion` and `walker` on the same plan.
 
 use crate::bfairbcem::{BiChainSink, BiSideExpander};
 use crate::biclique::{BicliqueSink, EnumStats};
@@ -16,22 +19,16 @@ use crate::config::{Budget, BudgetClock, BudgetLane, SharedBudget, Substrate, Ve
 use crate::fairbcem_pp::SsExpander;
 use crate::mbea::{root_task, RBound, Walker};
 use crate::prepared::QueryModel;
-use crate::proportion::{ProBiChainSink, ProBiSideExpander, ProSsExpander};
 use bigraph::candidate::CandidatePlan;
 use bigraph::{BipartiteGraph, Side, VertexId};
 
 /// The expansion step of one model: what happens to each maximal
-/// biclique the walk visits.
-pub(crate) enum Expansion<'g> {
-    /// SSFBC: `Combination` over the fair side.
-    Ss(SsExpander<'g>),
-    /// BSFBC: SSFBCs chained into the upper-side expansion.
-    Bi(SsExpander<'g>, BiSideExpander<'g>),
-    /// PSSFBC: `CombinationPro` over the fair side.
-    ProSs(ProSsExpander<'g>),
-    /// PBSFBC: PSSFBCs chained into the proportion upper-side
-    /// expansion.
-    ProBi(ProSsExpander<'g>, ProBiSideExpander<'g>),
+/// biclique the walk visits. Every model expands over its fair side;
+/// the bi-side models chain each single-side result into the
+/// upper-side stage.
+pub(crate) struct Expansion<'g> {
+    ss: SsExpander<'g>,
+    bi: Option<BiSideExpander<'g>>,
 }
 
 impl<'g> Expansion<'g> {
@@ -46,30 +43,25 @@ impl<'g> Expansion<'g> {
         plan: &'g CandidatePlan,
         clock: BudgetClock,
     ) -> Self {
-        let lower = plan.ops(g, Side::Lower);
-        match model {
-            QueryModel::Ssfbc(p) => Expansion::Ss(SsExpander::with_clock(g, p, lower, clock)),
-            QueryModel::Bsfbc(p) => Expansion::Bi(
-                SsExpander::with_clock(g, p, lower, clock.clone().exempt_results()),
-                BiSideExpander::with_clock(g, p, plan.ops(g, Side::Upper), clock),
-            ),
-            QueryModel::Pssfbc(p) => {
-                Expansion::ProSs(ProSsExpander::with_clock(g, p, lower, clock))
-            }
-            QueryModel::Pbsfbc(p) => Expansion::ProBi(
-                ProSsExpander::with_clock(g, p, lower, clock.clone().exempt_results()),
-                ProBiSideExpander::with_clock(g, p, plan.ops(g, Side::Upper), clock),
-            ),
-        }
+        let (ss_clock, bi) = if model.is_bi_side() {
+            let upper = plan.ops(g, Side::Upper);
+            let ss_clock = clock.clone().exempt_results();
+            (
+                ss_clock,
+                Some(BiSideExpander::with_clock(g, model, upper, clock)),
+            )
+        } else {
+            (clock, None)
+        };
+        let ss = SsExpander::with_clock(g, model, plan.ops(g, Side::Lower), ss_clock);
+        Expansion { ss, bi }
     }
 
     /// Expand the maximal biclique `(l, r)` into the model's results.
     pub(crate) fn expand(&mut self, l: &[VertexId], r: &[VertexId], sink: &mut dyn BicliqueSink) {
-        match self {
-            Expansion::Ss(ss) => ss.expand(l, r, sink),
-            Expansion::Bi(ss, bi) => ss.expand(l, r, &mut BiChainSink { exp: bi, sink }),
-            Expansion::ProSs(ss) => ss.expand(l, r, sink),
-            Expansion::ProBi(ss, bi) => ss.expand(l, r, &mut ProBiChainSink { exp: bi, sink }),
+        match &mut self.bi {
+            None => self.ss.expand(l, r, sink),
+            Some(bi) => self.ss.expand(l, r, &mut BiChainSink { exp: bi, sink }),
         }
     }
 
@@ -78,16 +70,12 @@ impl<'g> Expansion<'g> {
     /// stage marks the run aborted. Stop reasons keep the first cause
     /// in chain order (walker, then each stage).
     pub(crate) fn finish(&self, stats: &mut EnumStats) {
-        let (stages, emitted) = match self {
-            Expansion::Ss(ss) => ([Some(&ss.clock), None], ss.emitted),
-            Expansion::Bi(ss, bi) => ([Some(&ss.clock), Some(&bi.clock)], bi.emitted),
-            Expansion::ProSs(ss) => ([Some(&ss.clock), None], ss.emitted),
-            Expansion::ProBi(ss, bi) => ([Some(&ss.clock), Some(&bi.clock)], bi.emitted),
-        };
-        for clock in stages.into_iter().flatten() {
-            clock.settle(stats);
+        self.ss.clock.settle(stats);
+        stats.emitted = self.ss.emitted;
+        if let Some(bi) = &self.bi {
+            bi.clock.settle(stats);
+            stats.emitted = bi.emitted;
         }
-        stats.emitted = emitted;
     }
 }
 
@@ -132,10 +120,14 @@ pub(crate) fn walk(
     stats
 }
 
-/// [`walk`] on a graph without a resolved plan: resolve `substrate`
-/// against `g` first (with upper-side rows for the bi-side models).
-/// Backs the public `*_on_pruned_with` entry points.
-pub(crate) fn walk_on_pruned(
+/// Run `model`'s `++` miner (`FairBCEM++`, `BFairBCEM++`,
+/// `FairBCEMPro++` or `BFairBCEMPro++`) serially on `g`, a graph that
+/// is already pruned (fair side = lower), emitting results in `g`'s
+/// own vertex ids into `sink`. `substrate` is resolved against `g`
+/// first (with upper-side rows for the bi-side models); results are
+/// identical across substrates. For a prune-once, run-many plan, or
+/// more than one thread, use [`crate::prepared::PreparedQuery`].
+pub fn walk_on_pruned(
     g: &BipartiteGraph,
     model: QueryModel,
     order: VertexOrder,

@@ -1,5 +1,6 @@
 //! `FairBCEM++` (Algorithm 6): combinatorial enumeration of all
-//! single-side fair bicliques.
+//! single-side fair bicliques, and its proportion form
+//! `FairBCEMPro++` (§III-D).
 //!
 //! Instead of branching on every fair-side subset, `FairBCEM++` walks
 //! only the *maximal bicliques* with `|L| ≥ α` (their number is orders
@@ -18,45 +19,26 @@
 //! biclique (a vertex adjacent to all of `N(L*)` is adjacent to all of
 //! `R*`, hence in `N(R*) = L*`), and `R*` is one of its maximal fair
 //! subsets with `N(R*) = L*`.
+//!
+//! `SsExpander` is this expansion step for both models: its
+//! `FairRule` is the plain `(β, δ)` test with `Combination`, or the
+//! proportion `(β, δ, θ)` test with `CombinationPro` (the argument
+//! above holds for either test). The walk itself, and the public entry
+//! point, are in [`crate::expansion`].
 
-use crate::biclique::{BicliqueSink, EnumStats};
-use crate::config::{Budget, BudgetClock, FairParams, Substrate, VertexOrder};
-use crate::expansion::walk_on_pruned;
-use crate::fairset::{for_each_max_fair_subset, is_fair, AttrCounts};
+use crate::biclique::BicliqueSink;
+use crate::config::BudgetClock;
+use crate::fairset::{AttrCounts, FairRule};
 use crate::prepared::QueryModel;
 use bigraph::candidate::{AdjOps, CandidateOps};
 use bigraph::{BipartiteGraph, Side, VertexId};
 
-/// Run `FairBCEM++` on `g` (assumed already pruned; fair side = lower)
-/// on the adaptive candidate substrate.
-pub fn fairbcem_pp_on_pruned(
-    g: &BipartiteGraph,
-    params: FairParams,
-    order: VertexOrder,
-    budget: Budget,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    fairbcem_pp_on_pruned_with(g, params, order, budget, Substrate::Auto, sink)
-}
-
-/// [`fairbcem_pp_on_pruned`] with an explicit candidate substrate
-/// (results are identical across substrates).
-pub fn fairbcem_pp_on_pruned_with(
-    g: &BipartiteGraph,
-    params: FairParams,
-    order: VertexOrder,
-    budget: Budget,
-    substrate: Substrate,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    walk_on_pruned(g, QueryModel::Ssfbc(params), order, budget, substrate, sink)
-}
-
 /// The expansion step of Algorithm 6 (lines 23–28), run by the shared
 /// walk ([`crate::expansion`]): given a maximal biclique `(L, R)`
-/// with `|L| ≥ α`, emit the SSFBCs it contains.
+/// with `|L| ≥ α`, emit the single-side fair bicliques it contains
+/// under the model's lower-side rule.
 pub(crate) struct SsExpander<'a> {
-    params: FairParams,
+    rule: FairRule,
     attrs: &'a [bigraph::AttrValueId],
     groups: Vec<Vec<VertexId>>,
     /// Attribute-count scratch, recounted per expansion (no per-call
@@ -69,7 +51,7 @@ pub(crate) struct SsExpander<'a> {
     /// binomially many subsets, so the walker's node budget alone
     /// cannot bound a run.
     pub(crate) clock: BudgetClock,
-    /// SSFBCs emitted so far.
+    /// Results emitted so far.
     pub(crate) emitted: u64,
 }
 
@@ -79,13 +61,13 @@ impl<'a> SsExpander<'a> {
     /// the shared rows and countdown.
     pub(crate) fn with_clock(
         g: &'a BipartiteGraph,
-        params: FairParams,
+        model: QueryModel,
         ops: AdjOps<'a>,
         clock: BudgetClock,
     ) -> Self {
         let n_attrs = (g.n_attr_values(Side::Lower) as usize).max(1);
         SsExpander {
-            params,
+            rule: model.lower_rule(),
             attrs: g.attrs(Side::Lower),
             groups: vec![Vec::new(); n_attrs],
             counts: AttrCounts::zeros(n_attrs),
@@ -100,7 +82,7 @@ impl<'a> SsExpander<'a> {
             return;
         }
         self.counts.recount(r, self.attrs);
-        if is_fair(self.counts.as_slice(), self.params.beta, self.params.delta) {
+        if self.rule.is_fair(self.counts.as_slice()) {
             if self.clock.try_result() {
                 sink.emit(l, r);
                 self.emitted += 1;
@@ -120,39 +102,44 @@ impl<'a> SsExpander<'a> {
         let ops = &mut self.ops;
         let emitted = &mut self.emitted;
         let clock = &mut self.clock;
-        for_each_max_fair_subset(
-            &self.groups,
-            self.params.beta,
-            self.params.delta,
-            &mut |r_sub| {
-                // With beta = 0 the unique maximal fair subset can be
-                // empty (e.g. counts (3,0) at delta 0); an empty fair
-                // side is a degenerate non-result in every model.
-                // `(L, r')` is an SSFBC iff `N(r') = L` exactly;
-                // `l ⊆ N(r_sub)` holds by construction, so comparing
-                // closure size against `|l|` suffices.
-                if !r_sub.is_empty() && ops.closure_matches(r_sub, l.len()) && clock.try_result() {
-                    sink.emit(l, r_sub);
-                    *emitted += 1;
-                }
-                clock.tick()
-            },
-        );
+        self.rule.for_each_max_subset(&self.groups, &mut |r_sub| {
+            // With beta = 0 the unique maximal fair subset can be
+            // empty (e.g. counts (3,0) at delta 0); an empty fair
+            // side is a degenerate non-result in every model.
+            // `(L, r')` is a result iff `N(r') = L` exactly;
+            // `l ⊆ N(r_sub)` holds by construction, so comparing
+            // closure size against `|l|` suffices.
+            if !r_sub.is_empty() && ops.closure_matches(r_sub, l.len()) && clock.try_result() {
+                sink.emit(l, r_sub);
+                *emitted += 1;
+            }
+            clock.tick()
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::biclique::{Biclique, CollectSink};
+    use crate::config::{Budget, FairParams, Substrate, VertexOrder};
+    use crate::expansion::walk_on_pruned;
+    use crate::prepared::QueryModel;
     use crate::verify::oracle_ssfbc;
     use bigraph::generate::{plant_bicliques, random_uniform};
-    use bigraph::GraphBuilder;
+    use bigraph::{BipartiteGraph, GraphBuilder, Side};
     use std::collections::BTreeSet;
 
     fn run(g: &BipartiteGraph, params: FairParams, order: VertexOrder) -> BTreeSet<Biclique> {
         let mut sink = CollectSink::default();
-        let stats = fairbcem_pp_on_pruned(g, params, order, Budget::UNLIMITED, &mut sink);
+        let model = QueryModel::Ssfbc(params);
+        let stats = walk_on_pruned(
+            g,
+            model,
+            order,
+            Budget::UNLIMITED,
+            Substrate::Auto,
+            &mut sink,
+        );
         assert!(!stats.aborted);
         let set: BTreeSet<Biclique> = sink.bicliques.iter().cloned().collect();
         assert_eq!(set.len(), sink.bicliques.len(), "no duplicate emissions");
@@ -266,8 +253,16 @@ mod tests {
         let g = b.build().unwrap();
         let params = FairParams::unchecked(3, 1, 0);
         let mut sink = CollectSink::default();
-        let stats =
-            fairbcem_pp_on_pruned(&g, params, VertexOrder::IdAsc, Budget::nodes(50), &mut sink);
+        let model = QueryModel::Ssfbc(params);
+        let order = VertexOrder::IdAsc;
+        let stats = walk_on_pruned(
+            &g,
+            model,
+            order,
+            Budget::nodes(50),
+            Substrate::Auto,
+            &mut sink,
+        );
         assert!(stats.aborted, "expansion budget must fire");
         assert!(
             sink.bicliques.len() <= 60,
@@ -278,8 +273,14 @@ mod tests {
         // setup): C(16,10) closure-filtered results still number
         // thousands.
         let mut full = CollectSink::default();
-        let full_stats =
-            fairbcem_pp_on_pruned(&g, params, VertexOrder::IdAsc, Budget::UNLIMITED, &mut full);
+        let full_stats = walk_on_pruned(
+            &g,
+            model,
+            order,
+            Budget::UNLIMITED,
+            Substrate::Auto,
+            &mut full,
+        );
         assert!(!full_stats.aborted);
         assert!(full.bicliques.len() > 1000);
     }
@@ -289,11 +290,12 @@ mod tests {
         let g = random_uniform(12, 14, 90, 2, 2, 7);
         let params = FairParams::unchecked(1, 1, 2);
         let mut capped = CollectSink::default();
-        let stats = fairbcem_pp_on_pruned(
+        let stats = walk_on_pruned(
             &g,
-            params,
+            QueryModel::Ssfbc(params),
             VertexOrder::IdAsc,
             Budget::nodes(8),
+            Substrate::Auto,
             &mut capped,
         );
         assert!(stats.aborted);

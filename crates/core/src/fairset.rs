@@ -184,13 +184,26 @@ pub fn is_maximal_fair_subset(base: &[u32], cand: &[u32], k: u32, delta: u32) ->
 /// Proportion-aware `MFSCheck`: is the proportion-fair set `base` a
 /// maximal proportion-fair subset of `base + cand`?
 ///
-/// Mirrors Algorithm 4 with [`is_fair_pro`] as the feasibility test.
-/// The "add one of each attribute" shortcut remains valid under the
-/// ratio constraint: for an attribute at or below the average share,
-/// `(c+1)/(t+n) ≥ c/t`; for one above the average, `(c+1)/(t+n) ≥ 1/n
-/// ≥ θ` (the models require `θ ≤ 1/n`). The single-addition sweep is
-/// exact for two attribute values — the paper's setting; the
-/// brute-force oracle uses [`exists_fair_extension`] instead.
+/// Algorithm 4 with [`is_fair_pro`] as the feasibility test, plus one
+/// sweep the ratio constraint needs. Exact for any number of
+/// attribute values (cross-checked against [`exists_fair_extension`]):
+///
+/// * The "add one of each attribute" shortcut stays valid: for an
+///   attribute at or below the average share, `(c+1)/(t+n) ≥ c/t`;
+///   for one above it, `(c+1)/(t+n) ≥ 1/n ≥ θ` (the models require
+///   `θ ≤ 1/n`).
+/// * Take any feasible `v ≠ base` with `v − base ≤ cand` and let
+///   `m = min v`. If `m = min base`, some `base + e_j` with `v_j >
+///   base_j` keeps the minimum, does not raise the maximum past
+///   `max v`, and has a smaller total, so it is feasible: the
+///   single-addition sweep finds it. If `m > max base`, every count
+///   grew, so every attribute has a candidate. Otherwise `min base <
+///   m ≤ max base`, and `max(base, m)` (every count raised to at
+///   least `m`) lies under `v` with the same minimum, so it is
+///   feasible too: the floor sweep over those at most `δ` values of
+///   `m` finds it. With two values the floor sweep never fires on its
+///   own; with three or more, raising two counts at once can restore a
+///   ratio no single addition does.
 pub fn is_maximal_fair_subset_pro(
     base: &[u32],
     cand: &[u32],
@@ -214,6 +227,19 @@ pub fn is_maximal_fair_subset_pro(
             if ok {
                 return false;
             }
+        }
+    }
+    let lo = *base.iter().min().expect("non-empty counts");
+    let hi = *base.iter().max().expect("non-empty counts");
+    for m in lo + 1..=hi {
+        if base.iter().zip(cand).any(|(&b, &c)| b + c < m) {
+            continue;
+        }
+        for (s, &b) in scratch.iter_mut().zip(base) {
+            *s = b.max(m);
+        }
+        if is_fair_pro(&scratch, k, delta, theta) {
+            return false;
         }
     }
     true
@@ -523,6 +549,54 @@ pub fn for_each_max_pro_fair_subset<G: AsRef<[VertexId]>>(
     true
 }
 
+/// The fairness test one side of a query applies: fair for `(k, δ)`,
+/// and, when `theta` is set, proportion-fair for `(k, δ, θ)`. Each
+/// method calls the plain fair-set function or its proportion form
+/// unchanged, so one expander serves the plain and proportion models.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FairRule {
+    /// Per-attribute minimum count (`α` upper, `β` lower).
+    pub(crate) k: u32,
+    /// Largest spread between attribute counts.
+    pub(crate) delta: u32,
+    /// Minimum share of every attribute value (proportion models).
+    pub(crate) theta: Option<f64>,
+}
+
+impl FairRule {
+    /// [`is_fair`] or [`is_fair_pro`].
+    #[inline]
+    pub(crate) fn is_fair(&self, counts: &[u32]) -> bool {
+        match self.theta {
+            None => is_fair(counts, self.k, self.delta),
+            Some(t) => is_fair_pro(counts, self.k, self.delta, t),
+        }
+    }
+
+    /// `Combination` or `CombinationPro`: [`for_each_max_fair_subset`]
+    /// or [`for_each_max_pro_fair_subset`].
+    pub(crate) fn for_each_max_subset<G: AsRef<[VertexId]>>(
+        &self,
+        groups: &[G],
+        f: &mut dyn FnMut(&[VertexId]) -> bool,
+    ) -> bool {
+        match self.theta {
+            None => for_each_max_fair_subset(groups, self.k, self.delta, f),
+            Some(t) => for_each_max_pro_fair_subset(groups, self.k, self.delta, t, f),
+        }
+    }
+
+    /// `MFSCheck`: [`is_maximal_fair_subset`] or
+    /// [`is_maximal_fair_subset_pro`].
+    #[inline]
+    pub(crate) fn is_maximal_subset(&self, base: &[u32], cand: &[u32]) -> bool {
+        match self.theta {
+            None => is_maximal_fair_subset(base, cand, self.k, self.delta),
+            Some(t) => is_maximal_fair_subset_pro(base, cand, self.k, self.delta, t),
+        }
+    }
+}
+
 /// Collecting wrapper around [`for_each_max_fair_subset`].
 pub fn max_fair_subsets(groups: &[&[VertexId]], k: u32, delta: u32) -> Vec<Vec<VertexId>> {
     let mut out = Vec::new();
@@ -617,14 +691,38 @@ mod tests {
 
     #[test]
     fn mfs_check_three_attrs_matches_exhaustive() {
-        for k in 0..2u32 {
-            for delta in 0..3u32 {
-                for base in [[2, 2, 2], [3, 2, 2], [4, 2, 3], [2, 4, 4]] {
-                    for cand in [[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 1], [2, 0, 2]] {
-                        let fast = is_maximal_fair_subset(&base, &cand, k, delta);
-                        let slow = is_fair(&base, k, delta)
-                            && !exists_fair_extension(&base, &cand, k, delta, None);
-                        assert_eq!(fast, slow, "base={base:?} cand={cand:?} k={k} d={delta}");
+        // `None` is the plain check; `Some(θ)` the proportion one
+        // (θ ≤ 1/3, the models' bound for three values).
+        for theta in [None, Some(0.0), Some(0.2), Some(0.28), Some(1.0 / 3.0)] {
+            for k in 0..3u32 {
+                for delta in 0..3u32 {
+                    for base in [[2, 2, 2], [3, 2, 2], [4, 2, 3], [2, 4, 4], [3, 4, 2]] {
+                        for cand in [
+                            [0, 0, 0],
+                            [1, 0, 0],
+                            [1, 1, 0],
+                            [0, 1, 1],
+                            [1, 1, 1],
+                            [2, 0, 2],
+                            [0, 2, 1],
+                        ] {
+                            let (fast, fair) = match theta {
+                                None => (
+                                    is_maximal_fair_subset(&base, &cand, k, delta),
+                                    is_fair(&base, k, delta),
+                                ),
+                                Some(t) => (
+                                    is_maximal_fair_subset_pro(&base, &cand, k, delta, t),
+                                    is_fair_pro(&base, k, delta, t),
+                                ),
+                            };
+                            let slow =
+                                fair && !exists_fair_extension(&base, &cand, k, delta, theta);
+                            assert_eq!(
+                                fast, slow,
+                                "base={base:?} cand={cand:?} k={k} d={delta} t={theta:?}"
+                            );
+                        }
                     }
                 }
             }

@@ -13,9 +13,11 @@
 //! * **Enumeration** — the branch-and-bound `FairBCEM` ([`fairbcem`],
 //!   Algorithm 5), the combinatorial `FairBCEM++` ([`fairbcem_pp`],
 //!   Algorithm 6), the bi-side `BFairBCEM` / `BFairBCEM++`
-//!   ([`bfairbcem`], Algorithm 9), proportion enumerators
-//!   ([`proportion`]), the naive baselines `NSF` / `BNSF` ([`naive`]),
-//!   and plain maximal biclique enumeration ([`mbea`]).
+//!   ([`bfairbcem`], Algorithm 9), their proportion forms
+//!   `FairBCEMPro++` / `BFairBCEMPro++` ([`proportion`]), all four
+//!   `++` miners run by one walk ([`expansion`]), the naive baselines
+//!   `NSF` / `BNSF` ([`naive`]), and plain maximal biclique
+//!   enumeration ([`mbea`]).
 //! * **Verification** — brute-force oracles ([`verify`]) used by the
 //!   test suite to certify every enumerator on thousands of random
 //!   graphs.
@@ -69,7 +71,7 @@ pub mod bfcore;
 pub mod biclique;
 pub mod cfcore;
 pub mod config;
-mod expansion;
+pub mod expansion;
 pub mod fairbcem;
 pub mod fairbcem_pp;
 pub mod fairset;

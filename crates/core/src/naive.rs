@@ -13,11 +13,12 @@
 //! would enumerate every subset of `V` to no effect; the paper's NSF
 //! terminates on its datasets, which is only possible with this cut.
 
-use crate::bfairbcem::BiSideExpander;
+use crate::bfairbcem::{BiChainSink, BiSideExpander};
 use crate::biclique::{BicliqueSink, EnumStats};
 use crate::config::{Budget, BudgetClock, BudgetLane, FairParams, SharedBudget, VertexOrder};
 use crate::fairset::{is_fair, is_maximal_fair_subset, AttrCounts};
 use crate::ordering::side_order;
+use crate::prepared::QueryModel;
 use bigraph::{intersect_sorted_count, intersect_sorted_into, BipartiteGraph, Side, VertexId};
 
 /// Run `NSF` on `g` (assumed already pruned; fair side = lower).
@@ -78,11 +79,11 @@ pub fn bnsf_on_pruned(
     let shared = SharedBudget::new(budget);
     let mut expander = BiSideExpander::with_clock(
         g,
-        params,
+        QueryModel::Bsfbc(params),
         bigraph::candidate::AdjOps::Sorted(bigraph::candidate::SortedOps::new(g, Side::Upper)),
         shared.clock(BudgetLane::Expand),
     );
-    let mut chain = crate::bfairbcem::BiChainSink {
+    let mut chain = BiChainSink {
         exp: &mut expander,
         sink,
     };

@@ -4,17 +4,17 @@
 //! graphs; the functions here compose the paper's full pipelines and
 //! translate results back to the caller's vertex ids.
 
-use crate::bfairbcem::{bfairbcem_on_pruned_with, bfairbcem_pp_on_pruned_with};
+use crate::bfairbcem::bfairbcem_on_pruned_with;
 use crate::bfcore::{bcfcore_rec, bfcore_ctl};
 use crate::biclique::{Biclique, BicliqueSink, EnumStats, MappingSink};
 use crate::cfcore::cfcore_rec;
 use crate::config::{FairParams, PrepareCtl, ProParams, PruneKind, RunConfig, StopReason};
+use crate::expansion::walk_on_pruned;
 use crate::fairbcem::fairbcem_on_pruned;
-use crate::fairbcem_pp::fairbcem_pp_on_pruned_with;
 use crate::fcore::{fcore_ctl, no_prune, PruneOutcome, PruneStats};
 use crate::naive::{bnsf_on_pruned, nsf_on_pruned};
 use crate::obs::SpanRecorder;
-use crate::proportion::{bfairbcem_pro_pp_on_pruned_with, fairbcem_pro_pp_on_pruned_with};
+use crate::prepared::QueryModel;
 use bigraph::BipartiteGraph;
 use serde::{Deserialize, Serialize};
 
@@ -164,9 +164,9 @@ pub fn run_ssfbc(
             cfg.budget.clone(),
             &mut mapped,
         ),
-        SsAlgorithm::FairBcemPP => fairbcem_pp_on_pruned_with(
+        SsAlgorithm::FairBcemPP => walk_on_pruned(
             &pruned.sub.graph,
-            params,
+            QueryModel::Ssfbc(params),
             cfg.order,
             cfg.budget.clone(),
             cfg.substrate,
@@ -206,9 +206,9 @@ pub fn run_bsfbc(
             cfg.substrate,
             &mut mapped,
         ),
-        BiAlgorithm::BFairBcemPP => bfairbcem_pp_on_pruned_with(
+        BiAlgorithm::BFairBcemPP => walk_on_pruned(
             &pruned.sub.graph,
-            params,
+            QueryModel::Bsfbc(params),
             cfg.order,
             cfg.budget.clone(),
             cfg.substrate,
@@ -231,9 +231,9 @@ pub fn run_pssfbc(
         &pruned.sub.lower_to_parent,
         sink,
     );
-    let stats = fairbcem_pro_pp_on_pruned_with(
+    let stats = walk_on_pruned(
         &pruned.sub.graph,
-        pro,
+        QueryModel::Pssfbc(pro),
         cfg.order,
         cfg.budget.clone(),
         cfg.substrate,
@@ -255,9 +255,9 @@ pub fn run_pbsfbc(
         &pruned.sub.lower_to_parent,
         sink,
     );
-    let stats = bfairbcem_pro_pp_on_pruned_with(
+    let stats = walk_on_pruned(
         &pruned.sub.graph,
-        pro,
+        QueryModel::Pbsfbc(pro),
         cfg.order,
         cfg.budget.clone(),
         cfg.substrate,
@@ -269,7 +269,7 @@ pub fn run_pbsfbc(
 /// Prepare-then-execute: the collected pipelines are one-shot uses of
 /// the prepared-plan layer ([`crate::prepared`]), so a cached plan in
 /// the query service executes bit-identically to these.
-fn enumerate(g: &BipartiteGraph, model: crate::prepared::QueryModel, cfg: &RunConfig) -> RunReport {
+fn enumerate(g: &BipartiteGraph, model: QueryModel, cfg: &RunConfig) -> RunReport {
     crate::prepared::PreparedQuery::prepare(g, model, cfg.prune, cfg.substrate).execute(cfg)
 }
 
@@ -277,25 +277,25 @@ fn enumerate(g: &BipartiteGraph, model: crate::prepared::QueryModel, cfg: &RunCo
 /// with the paper's best pipeline (`CFCore` + `FairBCEM++` by default).
 /// `cfg.threads > 1` runs on the parallel engine ([`crate::parallel`]).
 pub fn enumerate_ssfbc(g: &BipartiteGraph, params: FairParams, cfg: &RunConfig) -> RunReport {
-    enumerate(g, crate::prepared::QueryModel::Ssfbc(params), cfg)
+    enumerate(g, QueryModel::Ssfbc(params), cfg)
 }
 
 /// Enumerate and collect all bi-side fair bicliques (Definition 4).
 /// `cfg.threads > 1` runs on the parallel engine.
 pub fn enumerate_bsfbc(g: &BipartiteGraph, params: FairParams, cfg: &RunConfig) -> RunReport {
-    enumerate(g, crate::prepared::QueryModel::Bsfbc(params), cfg)
+    enumerate(g, QueryModel::Bsfbc(params), cfg)
 }
 
 /// Enumerate and collect all proportion single-side fair bicliques
 /// (Definition 5). `cfg.threads > 1` runs on the parallel engine.
 pub fn enumerate_pssfbc(g: &BipartiteGraph, pro: ProParams, cfg: &RunConfig) -> RunReport {
-    enumerate(g, crate::prepared::QueryModel::Pssfbc(pro), cfg)
+    enumerate(g, QueryModel::Pssfbc(pro), cfg)
 }
 
 /// Enumerate and collect all proportion bi-side fair bicliques
 /// (Definition 6). `cfg.threads > 1` runs on the parallel engine.
 pub fn enumerate_pbsfbc(g: &BipartiteGraph, pro: ProParams, cfg: &RunConfig) -> RunReport {
-    enumerate(g, crate::prepared::QueryModel::Pbsfbc(pro), cfg)
+    enumerate(g, QueryModel::Pbsfbc(pro), cfg)
 }
 
 #[cfg(test)]

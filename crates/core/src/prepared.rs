@@ -27,6 +27,7 @@ use crate::config::{
     FairParams, PrepareCtl, ProParams, PruneKind, RunConfig, StopReason, Substrate,
 };
 use crate::expansion::walk;
+use crate::fairset::FairRule;
 use crate::fcore::{PruneOutcome, PruneStats};
 use crate::maximum::{merge_max, MaxSink, SizeMetric};
 use crate::obs::SpanRecorder;
@@ -78,6 +79,25 @@ impl QueryModel {
         match self {
             QueryModel::Pssfbc(p) | QueryModel::Pbsfbc(p) => Some(p.theta),
             _ => None,
+        }
+    }
+
+    /// The fairness rule on the lower (fair) side: `(β, δ, θ)`.
+    pub(crate) fn lower_rule(&self) -> FairRule {
+        let p = self.base();
+        FairRule {
+            k: p.beta,
+            delta: p.delta,
+            theta: self.theta(),
+        }
+    }
+
+    /// The fairness rule on the upper side of the bi-side models:
+    /// `(α, δ, θ)`.
+    pub(crate) fn upper_rule(&self) -> FairRule {
+        FairRule {
+            k: self.base().alpha,
+            ..self.lower_rule()
         }
     }
 }

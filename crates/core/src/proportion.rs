@@ -1,288 +1,46 @@
 //! Proportion fair biclique enumeration: `FairBCEMPro++` (§III-D) and
 //! `BFairBCEMPro++` (§IV-C).
 //!
-//! Structure mirrors [`crate::fairbcem_pp`] / [`crate::bfairbcem`]
-//! with the proportion-aware feasibility and maximality tests:
+//! The paper defines both as `FairBCEM++` / `BFairBCEM++` with the
+//! fairness test swapped, and so does the code: they run the same
+//! walk and the same expanders ([`crate::fairbcem_pp`],
+//! [`crate::bfairbcem`]) under a fairness rule that carries `θ`
+//! (`QueryModel::{Pssfbc, Pbsfbc}` in [`crate::prepared`]):
 //!
 //! * the fair-set inspection becomes [`crate::fairset::is_fair_pro`];
 //! * `Combination` becomes the exact `CombinationPro`
 //!   ([`crate::fairset::for_each_max_pro_fair_subset`]), which searches
 //!   the maximal feasible size lattice instead of the paper's closed
 //!   form (exact for any attribute-domain size; equal to the closed
-//!   form on the paper's two-value domains — property-tested).
-
-use crate::biclique::{BicliqueSink, EnumStats};
-use crate::config::{Budget, BudgetClock, ProParams, Substrate, VertexOrder};
-use crate::expansion::walk_on_pruned;
-use crate::fairset::{
-    for_each_max_pro_fair_subset, is_fair_pro, is_maximal_fair_subset_pro, AttrCounts,
-};
-use crate::prepared::QueryModel;
-use bigraph::candidate::{AdjOps, CandidateOps};
-use bigraph::{BipartiteGraph, Side, VertexId};
-
-/// Run `FairBCEMPro++` on `g` (assumed already pruned; fair side =
-/// lower): enumerate all proportion single-side fair bicliques.
-pub fn fairbcem_pro_pp_on_pruned(
-    g: &BipartiteGraph,
-    pro: ProParams,
-    order: VertexOrder,
-    budget: Budget,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    fairbcem_pro_pp_on_pruned_with(g, pro, order, budget, Substrate::Auto, sink)
-}
-
-/// [`fairbcem_pro_pp_on_pruned`] with an explicit candidate substrate.
-pub fn fairbcem_pro_pp_on_pruned_with(
-    g: &BipartiteGraph,
-    pro: ProParams,
-    order: VertexOrder,
-    budget: Budget,
-    substrate: Substrate,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    walk_on_pruned(g, QueryModel::Pssfbc(pro), order, budget, substrate, sink)
-}
-
-/// The proportion analog of [`crate::fairbcem_pp::SsExpander`]: given
-/// a maximal biclique `(L, R)`, emit the PSSFBCs it contains via the
-/// exact `CombinationPro`.
-pub(crate) struct ProSsExpander<'a> {
-    pro: ProParams,
-    attrs: &'a [bigraph::AttrValueId],
-    groups: Vec<Vec<VertexId>>,
-    /// Attribute-count scratch, recounted per expansion (no per-call
-    /// allocation on the hot path).
-    counts: AttrCounts,
-    /// Lower-side candidate ops (closure checks intersect the fair
-    /// side's adjacency).
-    ops: AdjOps<'a>,
-    /// Budget over expansion steps: a single `CombinationPro` can be
-    /// binomially large.
-    pub(crate) clock: BudgetClock,
-    /// PSSFBCs emitted so far.
-    pub(crate) emitted: u64,
-}
-
-impl<'a> ProSsExpander<'a> {
-    /// Constructor taking explicit candidate ops and clock — the
-    /// parallel engine hands every worker its own handles drawing from
-    /// the shared rows and countdown.
-    pub(crate) fn with_clock(
-        g: &'a BipartiteGraph,
-        pro: ProParams,
-        ops: AdjOps<'a>,
-        clock: BudgetClock,
-    ) -> Self {
-        let n_attrs = (g.n_attr_values(Side::Lower) as usize).max(1);
-        ProSsExpander {
-            pro,
-            attrs: g.attrs(Side::Lower),
-            groups: vec![Vec::new(); n_attrs],
-            counts: AttrCounts::zeros(n_attrs),
-            ops,
-            clock,
-            emitted: 0,
-        }
-    }
-
-    pub(crate) fn expand(&mut self, l: &[VertexId], r: &[VertexId], sink: &mut dyn BicliqueSink) {
-        if self.clock.exhausted {
-            return;
-        }
-        let params = self.pro.base;
-        self.counts.recount(r, self.attrs);
-        if is_fair_pro(
-            self.counts.as_slice(),
-            params.beta,
-            params.delta,
-            self.pro.theta,
-        ) {
-            if self.clock.try_result() {
-                sink.emit(l, r);
-                self.emitted += 1;
-            }
-            self.clock.tick();
-            return;
-        }
-        for g_attr in self.groups.iter_mut() {
-            g_attr.clear();
-        }
-        for &v in r {
-            self.groups[self.attrs[v as usize] as usize].push(v);
-        }
-        let ops = &mut self.ops;
-        let emitted = &mut self.emitted;
-        let clock = &mut self.clock;
-        for_each_max_pro_fair_subset(
-            &self.groups,
-            params.beta,
-            params.delta,
-            self.pro.theta,
-            &mut |r_sub| {
-                // Empty fair sides are degenerate non-results.
-                if !r_sub.is_empty() && ops.closure_matches(r_sub, l.len()) && clock.try_result() {
-                    sink.emit(l, r_sub);
-                    *emitted += 1;
-                }
-                clock.tick()
-            },
-        );
-    }
-}
-
-/// Run `BFairBCEMPro++` on `g`: enumerate all proportion bi-side fair
-/// bicliques by expanding each PSSFBC's upper side with the exact
-/// `CombinationPro` and the proportion `MFSCheck`.
-pub fn bfairbcem_pro_pp_on_pruned(
-    g: &BipartiteGraph,
-    pro: ProParams,
-    order: VertexOrder,
-    budget: Budget,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    bfairbcem_pro_pp_on_pruned_with(g, pro, order, budget, Substrate::Auto, sink)
-}
-
-/// [`bfairbcem_pro_pp_on_pruned`] with an explicit candidate
-/// substrate shared by every stage of the chain.
-pub fn bfairbcem_pro_pp_on_pruned_with(
-    g: &BipartiteGraph,
-    pro: ProParams,
-    order: VertexOrder,
-    budget: Budget,
-    substrate: Substrate,
-    sink: &mut dyn BicliqueSink,
-) -> EnumStats {
-    walk_on_pruned(g, QueryModel::Pbsfbc(pro), order, budget, substrate, sink)
-}
-
-/// The upper-side expansion step from PSSFBCs to the PBSFBCs
-/// contained in them.
-pub(crate) struct ProBiSideExpander<'a> {
-    g: &'a BipartiteGraph,
-    pro: ProParams,
-    /// Upper-side candidate ops (`N(l')` intersects upper adjacency).
-    ops: AdjOps<'a>,
-    pub(crate) clock: BudgetClock,
-    pub(crate) emitted: u64,
-    groups: Vec<Vec<VertexId>>,
-    /// Long-lived scratch for the per-subset MFSCheck: `N(l')`, the
-    /// lower counts of `R'`, and the candidate counts of `N(l') − R'`.
-    nl: Vec<VertexId>,
-    base: AttrCounts,
-    cand: AttrCounts,
-}
-
-impl<'a> ProBiSideExpander<'a> {
-    /// Constructor taking explicit upper-side candidate ops and a
-    /// clock — the parallel engine hands every worker its own handles
-    /// drawing from the shared rows and countdown.
-    pub(crate) fn with_clock(
-        g: &'a BipartiteGraph,
-        pro: ProParams,
-        ops: AdjOps<'a>,
-        clock: BudgetClock,
-    ) -> Self {
-        let n_attrs_u = (g.n_attr_values(Side::Upper) as usize).max(1);
-        let n_attrs_l = (g.n_attr_values(Side::Lower) as usize).max(1);
-        ProBiSideExpander {
-            g,
-            pro,
-            ops,
-            clock,
-            emitted: 0,
-            groups: vec![Vec::new(); n_attrs_u],
-            nl: Vec::new(),
-            base: AttrCounts::zeros(n_attrs_l),
-            cand: AttrCounts::zeros(n_attrs_l),
-        }
-    }
-
-    pub(crate) fn expand(&mut self, l: &[VertexId], r: &[VertexId], sink: &mut dyn BicliqueSink) {
-        if self.clock.exhausted {
-            return;
-        }
-        let attrs_u = self.g.attrs(Side::Upper);
-        let attrs_l = self.g.attrs(Side::Lower);
-        for g_attr in self.groups.iter_mut() {
-            g_attr.clear();
-        }
-        for &u in l {
-            self.groups[attrs_u[u as usize] as usize].push(u);
-        }
-        self.base.recount(r, attrs_l);
-        let pro = self.pro;
-        let ops = &mut self.ops;
-        let emitted = &mut self.emitted;
-        let clock = &mut self.clock;
-        let nl = &mut self.nl;
-        let base = &self.base;
-        let cand = &mut self.cand;
-        for_each_max_pro_fair_subset(
-            &self.groups,
-            pro.base.alpha,
-            pro.base.delta,
-            pro.theta,
-            &mut |l_sub| {
-                ops.common_neighbors_into(l_sub, nl);
-                cand.clear();
-                let mut i = 0usize;
-                for &v in nl.iter() {
-                    while i < r.len() && r[i] < v {
-                        i += 1;
-                    }
-                    if i < r.len() && r[i] == v {
-                        continue;
-                    }
-                    cand.inc(attrs_l[v as usize]);
-                }
-                if is_maximal_fair_subset_pro(
-                    base.as_slice(),
-                    cand.as_slice(),
-                    pro.base.beta,
-                    pro.base.delta,
-                    pro.theta,
-                ) && clock.try_result()
-                {
-                    sink.emit(l_sub, r);
-                    *emitted += 1;
-                }
-                clock.tick()
-            },
-        );
-    }
-}
-
-/// [`BicliqueSink`] adapter chaining a PSSFBC enumerator into
-/// [`ProBiSideExpander::expand`] with a downstream sink.
-pub(crate) struct ProBiChainSink<'x, 'g> {
-    pub(crate) exp: &'x mut ProBiSideExpander<'g>,
-    pub(crate) sink: &'x mut dyn BicliqueSink,
-}
-
-impl BicliqueSink for ProBiChainSink<'_, '_> {
-    fn emit(&mut self, l: &[VertexId], r: &[VertexId]) {
-        self.exp.expand(l, r, self.sink);
-    }
-}
+//!   form on the paper's two-value domains — property-tested);
+//! * `MFSCheck` becomes
+//!   [`crate::fairset::is_maximal_fair_subset_pro`].
+//!
+//! Run them with [`crate::expansion::walk_on_pruned`] on a pruned
+//! graph, or end to end with
+//! [`crate::pipeline::enumerate_pssfbc`] /
+//! [`crate::pipeline::enumerate_pbsfbc`]. This module holds their
+//! oracle tests.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::biclique::{Biclique, CollectSink};
+    use crate::config::{Budget, ProParams, Substrate, VertexOrder};
+    use crate::expansion::walk_on_pruned;
+    use crate::prepared::QueryModel;
     use crate::verify::{oracle_pbsfbc, oracle_pssfbc};
     use bigraph::generate::random_uniform;
+    use bigraph::BipartiteGraph;
     use std::collections::BTreeSet;
 
     fn run_ss(g: &BipartiteGraph, pro: ProParams) -> BTreeSet<Biclique> {
         let mut sink = CollectSink::default();
-        let stats = fairbcem_pro_pp_on_pruned(
+        let stats = walk_on_pruned(
             g,
-            pro,
+            QueryModel::Pssfbc(pro),
             VertexOrder::DegreeDesc,
             Budget::UNLIMITED,
+            Substrate::Auto,
             &mut sink,
         );
         assert!(!stats.aborted);
@@ -293,11 +51,12 @@ mod tests {
 
     fn run_bi(g: &BipartiteGraph, pro: ProParams) -> BTreeSet<Biclique> {
         let mut sink = CollectSink::default();
-        let stats = bfairbcem_pro_pp_on_pruned(
+        let stats = walk_on_pruned(
             g,
-            pro,
+            QueryModel::Pbsfbc(pro),
             VertexOrder::DegreeDesc,
             Budget::UNLIMITED,
+            Substrate::Auto,
             &mut sink,
         );
         assert!(!stats.aborted);
@@ -334,22 +93,34 @@ mod tests {
                 }
             }
         }
+        // Three lower attribute values: the proportion MFSCheck must
+        // also reject extensions that raise two counts at once (seed 9
+        // at θ = 0.25 has one).
+        for seed in [9u64, 10, 11, 12] {
+            let g = random_uniform(6, 12, 50, 2, 3, seed);
+            for theta in [0.25, 0.3] {
+                let pro = ProParams::new(1, 1, 1, theta).unwrap();
+                let want = oracle_pbsfbc(&g, pro);
+                let got = run_bi(&g, pro);
+                assert_eq!(got, want, "3 lower attrs: seed {seed} {pro}");
+            }
+        }
     }
 
     #[test]
     fn theta_zero_equals_plain_model() {
         use crate::config::FairParams;
-        use crate::fairbcem_pp::fairbcem_pp_on_pruned;
         for seed in 30..40u64 {
             let g = random_uniform(9, 10, 40, 2, 2, seed);
             let pro = ProParams::new(2, 1, 1, 0.0).unwrap();
             let got = run_ss(&g, pro);
             let mut plain = CollectSink::default();
-            fairbcem_pp_on_pruned(
+            walk_on_pruned(
                 &g,
-                FairParams::unchecked(2, 1, 1),
+                QueryModel::Ssfbc(FairParams::unchecked(2, 1, 1)),
                 VertexOrder::DegreeDesc,
                 Budget::UNLIMITED,
+                Substrate::Auto,
                 &mut plain,
             );
             let plain: BTreeSet<Biclique> = plain.bicliques.into_iter().collect();

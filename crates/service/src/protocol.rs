@@ -317,14 +317,19 @@ impl Reply {
     }
 }
 
-fn parse_pair_u16(s: &str) -> Result<(u16, u16), String> {
-    let (a, b) = s
-        .split_once(',')
-        .ok_or_else(|| format!("expected AU,AV, got {s:?}"))?;
-    Ok((
-        a.trim().parse().map_err(|e| format!("attrs: {e}"))?,
-        b.trim().parse().map_err(|e| format!("attrs: {e}"))?,
-    ))
+/// Parse an `A,B` pair of `u16`s (attribute-domain sizes), naming the
+/// field `what` in errors. Shared by the protocol's `attrs=` and the
+/// CLI's `--attrs`.
+pub fn parse_pair_u16(s: &str, what: &str) -> Result<(u16, u16), String> {
+    let parts: Vec<&str> = s.split(',').collect();
+    let [a, b] = parts.as_slice() else {
+        return Err(format!(
+            "{what}: expected two comma-separated values, got {s:?}"
+        ));
+    };
+    let a = a.trim().parse().map_err(|e| format!("{what}: {e}"))?;
+    let b = b.trim().parse().map_err(|e| format!("{what}: {e}"))?;
+    Ok((a, b))
 }
 
 fn parse_gen_spec(s: &str) -> Result<GenSpec, String> {
@@ -558,7 +563,7 @@ pub fn parse_request(line: &str) -> Result<Request, Reply> {
             for tok in extra {
                 let (k, v) = kv(tok).map_err(badarg)?;
                 match k.to_ascii_lowercase().as_str() {
-                    "attrs" => attrs = parse_pair_u16(v).map_err(badarg)?,
+                    "attrs" => attrs = parse_pair_u16(v, "attrs").map_err(badarg)?,
                     other => return Err(badarg(format!("unknown option {other:?}"))),
                 }
             }

@@ -172,3 +172,51 @@ fn flipped_graph_mines_upper_side_fairness() {
         fbe_integration::assert_biclique(&g, &restored);
     }
 }
+
+/// Budgeted serial runs of every model stop at the same place. Goldens
+/// compare only the (sorted) output; this pins how the walker and the
+/// expansion stages spend a shared budget: nodes visited, results
+/// emitted, and which limit fired.
+#[test]
+fn budgeted_search_stats_are_pinned() {
+    use fair_biclique::config::{StopReason, Substrate};
+    use fair_biclique::prepared::{PreparedQuery, QueryModel};
+    let g = medium_graph(3);
+    let fair = FairParams::unchecked(2, 1, 1);
+    let pro = ProParams::new(2, 1, 1, 0.4).unwrap();
+    let models = [
+        QueryModel::Ssfbc(fair),
+        QueryModel::Bsfbc(fair),
+        QueryModel::Pssfbc(pro),
+        QueryModel::Pbsfbc(pro),
+    ];
+    let mut got = Vec::new();
+    for model in models {
+        let plan = PreparedQuery::prepare(&g, model, PruneKind::Colorful, Substrate::Auto);
+        for budget in [Budget::UNLIMITED, Budget::nodes(150), Budget::results(20)] {
+            let cfg = RunConfig {
+                budget,
+                threads: 1,
+                ..RunConfig::default()
+            };
+            let s = plan.count(&cfg).stats;
+            got.push((model.name(), s.nodes, s.emitted, s.aborted, s.stop));
+        }
+    }
+    let (node, result) = (Some(StopReason::NodeCap), Some(StopReason::ResultCap));
+    let want = vec![
+        ("SSFBC", 1209, 324, false, None),
+        ("SSFBC", 151, 47, true, node),
+        ("SSFBC", 31, 20, true, result),
+        ("BSFBC", 434, 45, false, None),
+        ("BSFBC", 109, 12, true, node),
+        ("BSFBC", 136, 20, true, result),
+        ("PSSFBC", 1209, 246, false, None),
+        ("PSSFBC", 151, 39, true, node),
+        ("PSSFBC", 31, 20, true, result),
+        ("PBSFBC", 434, 57, false, None),
+        ("PBSFBC", 112, 22, true, node),
+        ("PBSFBC", 55, 20, true, result),
+    ];
+    assert_eq!(got, want);
+}
