@@ -446,4 +446,153 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("alpha"), "{err}");
     }
+
+    /// FNV-1a (64-bit): a digest that stays fixed across toolchains.
+    fn fnv1a(s: &str) -> u64 {
+        s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Digests of `fbe enumerate` / `fbe maximum` stdout, pinned so a
+    /// refactor of how results are gathered cannot change a byte.
+    const PINNED_DIGESTS: &str = "\
+enumerate ss collect t1 7377733bbc477e83
+enumerate ss collect t3 08f06f4d7b186cb5
+enumerate ss sorted t1 f2538f621e282fe9
+enumerate ss sorted t3 f2538f621e282fe9
+enumerate ss count t1 df30d46e09038795
+enumerate ss count t3 df30d46e09038795
+enumerate ss top t1 43c990cf498b5b71
+enumerate ss top t3 43c990cf498b5b71
+enumerate bi collect t1 56bb03f363806088
+enumerate bi collect t3 f250bb91d4b8aeba
+enumerate bi sorted t1 56bb03f363806088
+enumerate bi sorted t3 56bb03f363806088
+enumerate bi count t1 b47c6eea4e3b666e
+enumerate bi count t3 b47c6eea4e3b666e
+enumerate bi top t1 81296ffa0f77763c
+enumerate bi top t3 81296ffa0f77763c
+enumerate pss collect t1 f58b02e3e42e3b2e
+enumerate pss collect t3 3cc7e64ebad50704
+enumerate pss sorted t1 76836d12379b966e
+enumerate pss sorted t3 76836d12379b966e
+enumerate pss count t1 c4c250c5d26116e2
+enumerate pss count t3 c4c250c5d26116e2
+enumerate pss top t1 418177329c519684
+enumerate pss top t3 418177329c519684
+enumerate pbs collect t1 3a9711ed5df0915a
+enumerate pbs collect t3 8d230d5df7588f68
+enumerate pbs sorted t1 3a9711ed5df0915a
+enumerate pbs sorted t3 3a9711ed5df0915a
+enumerate pbs count t1 8f355e20f89194b0
+enumerate pbs count t3 8f355e20f89194b0
+enumerate pbs top t1 7eae1e3978e72906
+enumerate pbs top t3 7eae1e3978e72906
+enumerate nsf ss collect f9bf16ab95e40525
+enumerate nsf ss count df30d46e09038795
+enumerate nsf ss top 43c990cf498b5b71
+enumerate nsf bi collect 56bb03f363806088
+enumerate nsf bi count b47c6eea4e3b666e
+enumerate nsf bi top 81296ffa0f77763c
+enumerate bcem ss collect f9bf16ab95e40525
+enumerate bcem ss count df30d46e09038795
+enumerate bcem ss top 43c990cf498b5b71
+enumerate bcem bi collect 56bb03f363806088
+enumerate bcem bi count b47c6eea4e3b666e
+enumerate bcem bi top 81296ffa0f77763c
+maximum vertices ss t1 0dd8a3a7be87861e
+maximum vertices ss t4 0dd8a3a7be87861e
+maximum vertices bi t1 12f6896b8db3c0f9
+maximum vertices bi t4 12f6896b8db3c0f9
+maximum edges ss t1 9f60671baaa3a3ab
+maximum edges ss t4 9f60671baaa3a3ab
+maximum edges bi t1 319d217f4450f24a
+maximum edges bi t4 319d217f4450f24a
+";
+
+    #[test]
+    fn stdout_digests_are_pinned() {
+        let dir = std::env::temp_dir().join("fbe_cli_digest_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let stem = dir.join("g");
+        let stem_s = stem.to_str().unwrap();
+        run(&sv(&[
+            "generate",
+            "--uniform",
+            "30,30,200",
+            "--seed",
+            "7",
+            "--out",
+            stem_s,
+        ]))
+        .unwrap();
+        let params = ["--alpha", "2", "--beta", "1", "--delta", "1"];
+        let mut cases: Vec<(String, Vec<&str>)> = Vec::new();
+        let models: [(&str, &[&str]); 4] = [
+            ("ss", &[]),
+            ("bi", &["--bi"]),
+            ("pss", &["--theta", "0.4"]),
+            ("pbs", &["--bi", "--theta", "0.4"]),
+        ];
+        let modes: [(&str, &[&str]); 4] = [
+            ("collect", &[]),
+            ("sorted", &["--sorted"]),
+            ("count", &["--count-only"]),
+            ("top", &["--top", "3"]),
+        ];
+        for (model, model_args) in models {
+            for (mode, mode_args) in modes {
+                for threads in ["1", "3"] {
+                    let mut argv = vec!["enumerate", stem_s];
+                    argv.extend(params);
+                    argv.extend(model_args);
+                    argv.extend(mode_args);
+                    argv.extend(["--threads", threads]);
+                    cases.push((format!("enumerate {model} {mode} t{threads}"), argv));
+                }
+            }
+        }
+        for algo in ["nsf", "bcem"] {
+            for (model, model_args) in &models[..2] {
+                for (mode, mode_args) in [modes[0], modes[2], modes[3]] {
+                    let mut argv = vec!["enumerate", stem_s, "--algo", algo];
+                    argv.extend(params);
+                    argv.extend(*model_args);
+                    argv.extend(mode_args);
+                    cases.push((format!("enumerate {algo} {model} {mode}"), argv));
+                }
+            }
+        }
+        for metric in ["vertices", "edges"] {
+            for (model, model_args) in &models[..2] {
+                for threads in ["1", "4"] {
+                    let mut argv = vec!["maximum", stem_s, "--metric", metric];
+                    argv.extend(params);
+                    argv.extend(*model_args);
+                    argv.extend(["--threads", threads]);
+                    cases.push((format!("maximum {metric} {model} t{threads}"), argv));
+                }
+            }
+        }
+        let got: String = cases
+            .iter()
+            .map(|(label, argv)| {
+                let out = run(&sv(argv)).unwrap();
+                // Unsorted parallel collection is a multiset: its
+                // discovery order varies run to run, so digest it in
+                // line order.
+                let out = if label.ends_with("collect t3") {
+                    let mut lines: Vec<&str> = out.lines().collect();
+                    lines.sort_unstable();
+                    lines.join("\n")
+                } else {
+                    out
+                };
+                format!("{label} {:016x}\n", fnv1a(&out))
+            })
+            .collect();
+        assert_eq!(got, PINNED_DIGESTS, "stdout digests moved:\n{got}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

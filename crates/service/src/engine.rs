@@ -1126,4 +1126,49 @@ mod tests {
         let o = e.handle_line("ENUM g ssfbc alpha=1 beta=1 delta=1");
         assert!(ok_status(&o).contains("count="));
     }
+
+    #[test]
+    fn traced_enum_span_names_are_pinned_per_mode() {
+        // The `# span` vocabulary of each result mode, on a cold plan
+        // (prepare stages first) and on the cached plan it leaves.
+        let cold_prefix = [
+            "prepare",
+            "  core-peel",
+            "  2hop",
+            "  ego-core",
+            "  re-peel",
+            "  plan-resolve",
+        ];
+        let cases: [(&str, &[&str]); 3] = [
+            ("", &["enumerate", "sort"]),
+            (" count-only", &["enumerate"]),
+            (" max=edges", &["enumerate", "sort"]),
+        ];
+        let e = engine();
+        e.handle_line("GEN g uniform:20,20,120,7");
+        let mut session = Session::new();
+        e.handle_line_in("TRACE on", &mut session);
+        for (mode, tail) in cases {
+            e.clear_plans();
+            let q = format!("ENUM g ssfbc alpha=2 beta=1 delta=1{mode}");
+            for cached in [false, true] {
+                let o = e.handle_line_in(&q, &mut session);
+                assert_eq!(field(ok_status(&o), "cached"), Some(&*cached.to_string()));
+                let names: Vec<&str> = o
+                    .reply()
+                    .payload
+                    .iter()
+                    .filter_map(|l| l.strip_prefix("# span "))
+                    .map(|l| l.split(" us=").next().unwrap_or(l))
+                    .collect();
+                let head: &[&str] = if cached {
+                    &["plan-cached"]
+                } else {
+                    &cold_prefix
+                };
+                let want: Vec<&str> = head.iter().chain(tail).copied().collect();
+                assert_eq!(names, want, "{q} cached={cached}");
+            }
+        }
+    }
 }
