@@ -53,6 +53,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 step "fbe-lint --deny (workspace static analysis; see README: Static analysis)"
 cargo run -q -p fbe-lint -- --deny
 
+step "cargo doc -D warnings (broken or private intra-doc links fail the gate)"
+# The vendored crates are left out: their docs carry warnings of their
+# own (proptest) that this workspace does not maintain.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p bigraph -p fair-biclique \
+    -p fbe-datasets -p fbe-service -p fbe-cli -p fbe-bench
+
 if [[ $sanitize -eq 1 ]]; then
     step "cargo +nightly test -p fbe-service under ThreadSanitizer (best-effort)"
     # TSan needs a nightly toolchain with the matching std source or

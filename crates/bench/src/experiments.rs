@@ -14,9 +14,9 @@ use fair_biclique::fcore::PruneOutcome;
 use fair_biclique::mbea::maximal_bicliques;
 use fair_biclique::memory::{measure_bsfbc, measure_ssfbc};
 use fair_biclique::pipeline::{
-    prune_bi_side, prune_single_side, run_bsfbc, run_pbsfbc, run_pssfbc, run_ssfbc, BiAlgorithm,
-    SsAlgorithm,
+    prune_bi_side, prune_single_side, run_bsfbc, run_ssfbc, BiAlgorithm, SsAlgorithm,
 };
+use fair_biclique::prepared::{PreparedQuery, QueryModel};
 use fbe_datasets::corpus::{spec, Dataset, DatasetSpec};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -684,12 +684,11 @@ pub fn exp7_fig11_12(opts: &Opts) -> Vec<Table> {
         let pro_b =
             ProParams::new(s.default_bi.0, s.default_bi.1, s.default_delta, theta).expect("valid");
         let c = cfg(opts, VertexOrder::DegreeDesc);
-        let mut sink = CountSink::default();
-        let ((_, st_s), t_s) = timed(|| run_pssfbc(&g, pro_s, &c, &mut sink));
-        let n_s = sink.count;
-        let mut sink = CountSink::default();
-        let ((_, st_b), t_b) = timed(|| run_pbsfbc(&g, pro_b, &c, &mut sink));
-        let n_b = sink.count;
+        let count = |model| PreparedQuery::prepare(&g, model, c.prune, c.substrate).count(&c);
+        let (st_s, t_s) = timed(|| count(QueryModel::Pssfbc(pro_s)).stats);
+        let n_s = st_s.emitted;
+        let (st_b, t_b) = timed(|| count(QueryModel::Pbsfbc(pro_b)).stats);
+        let n_b = st_b.emitted;
         counts.push(vec![theta.to_string(), n_s.to_string(), n_b.to_string()]);
         times.push(vec![
             theta.to_string(),

@@ -1,9 +1,10 @@
 //! Hand-rolled argument parsing (no CLI dependency needed for five
 //! subcommands) producing a typed [`Command`].
 
-use fair_biclique::config::{Substrate, VertexOrder};
+use fair_biclique::config::{FairParams, Substrate, VertexOrder};
 use fair_biclique::maximum::SizeMetric;
 use fair_biclique::pipeline::{BiAlgorithm, SsAlgorithm};
+use fair_biclique::prepared::{Mode, QueryModel};
 use fbe_datasets::corpus::Dataset;
 use fbe_service::protocol::parse_pair_u16;
 use std::time::Duration;
@@ -61,48 +62,15 @@ pub enum Command {
     Prune {
         /// Input graph.
         source: GraphSource,
-        /// `α`.
-        alpha: u32,
-        /// `β`.
-        beta: u32,
+        /// `α` and `β` (`δ` plays no part in pruning).
+        params: FairParams,
         /// Bi-side cores instead of single-side.
         bi: bool,
         /// Pruning kind (`none`, `fcore`, `colorful`).
         kind: fair_biclique::config::PruneKind,
     },
-    /// `fbe enumerate`.
-    Enumerate {
-        /// Input graph.
-        source: GraphSource,
-        /// `α`.
-        alpha: u32,
-        /// `β`.
-        beta: u32,
-        /// `δ`.
-        delta: u32,
-        /// Optional `θ` (switches to the proportion models).
-        theta: Option<f64>,
-        /// Bi-side model.
-        bi: bool,
-        /// Single-side algorithm (ignored with `--bi`, which maps it).
-        algo: SsAlgorithm,
-        /// Vertex ordering.
-        order: VertexOrder,
-        /// Print only the count.
-        count_only: bool,
-        /// Print only the top-k largest results.
-        top: Option<usize>,
-        /// Per-run wall-clock budget.
-        budget: Option<Duration>,
-        /// Worker threads (>1 runs any model on the parallel engine).
-        threads: usize,
-        /// Sort results into the canonical deterministic order.
-        sorted: bool,
-        /// Candidate-set substrate for the enumeration hot path.
-        substrate: Substrate,
-        /// Print a per-stage span tree on stderr after the timing line.
-        trace: bool,
-    },
+    /// `fbe enumerate` and `fbe maximum`.
+    Query(Query),
     /// `fbe serve` — run the resident query service over TCP.
     Serve {
         /// Bind host (default `127.0.0.1`).
@@ -132,29 +100,35 @@ pub enum Command {
         /// Script path (`-` or absent = stdin).
         path: Option<String>,
     },
-    /// `fbe maximum`.
-    Maximum {
-        /// Input graph.
-        source: GraphSource,
-        /// `α`.
-        alpha: u32,
-        /// `β`.
-        beta: u32,
-        /// `δ`.
-        delta: u32,
-        /// Bi-side model.
-        bi: bool,
-        /// Size metric.
-        metric: SizeMetric,
-        /// Vertex ordering.
-        order: VertexOrder,
-        /// Per-run wall-clock budget.
-        budget: Option<Duration>,
-        /// Worker threads (>1 searches on the parallel engine).
-        threads: usize,
-        /// Candidate-set substrate for the search hot path.
-        substrate: Substrate,
-    },
+}
+
+/// A parsed `fbe enumerate` or `fbe maximum`: a model, an algorithm and
+/// the [`Mode`] its results are gathered in.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Query {
+    /// Input graph.
+    pub source: GraphSource,
+    /// Model and parameters (`--alpha`/`--beta`/`--delta`, `--bi`,
+    /// `--theta`).
+    pub model: QueryModel,
+    /// Single-side algorithm (mapped onto the bi-side family for the
+    /// bi-side models).
+    pub algo: SsAlgorithm,
+    /// All results, `--count-only`, `--top <K>`, or — for
+    /// `fbe maximum` — the largest under `--metric`.
+    pub mode: Mode,
+    /// Vertex ordering.
+    pub order: VertexOrder,
+    /// Per-run wall-clock budget.
+    pub budget: Option<Duration>,
+    /// Worker threads (>1 runs any model on the parallel engine).
+    pub threads: usize,
+    /// Sort results into the canonical deterministic order.
+    pub sorted: bool,
+    /// Candidate-set substrate for the enumeration hot path.
+    pub substrate: Substrate,
+    /// Print a per-stage span tree on stderr after the timing line.
+    pub trace: bool,
 }
 
 struct Cursor<'a> {
@@ -193,8 +167,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             Ok(Command::Stats { source })
         }
         "prune" => parse_prune(&mut c),
-        "enumerate" => parse_enumerate(&mut c),
-        "maximum" => parse_maximum(&mut c),
+        "enumerate" | "maximum" => parse_query(&mut c, sub),
         "serve" => parse_serve(&mut c),
         "batch" => parse_batch(&mut c),
         other => Err(format!("unknown subcommand {other:?}; try `fbe help`")),
@@ -297,10 +270,12 @@ fn parse_prune(c: &mut Cursor<'_>) -> Result<Command, String> {
             other => return Err(format!("prune: unknown argument {other:?}")),
         }
     }
+    let alpha = alpha.ok_or("prune: --alpha required")?;
+    let beta = beta.ok_or("prune: --beta required")?;
+    let params = FairParams::new(alpha, beta, 0).map_err(|e| format!("prune: {e}"))?;
     Ok(Command::Prune {
         source,
-        alpha: alpha.ok_or("prune: --alpha required")?,
-        beta: beta.ok_or("prune: --beta required")?,
+        params,
         bi,
         kind,
     })
@@ -310,17 +285,19 @@ fn parse_u32(s: &str, what: &str) -> Result<u32, String> {
     s.parse().map_err(|e| format!("{what}: {e}"))
 }
 
-fn parse_enumerate(c: &mut Cursor<'_>) -> Result<Command, String> {
+/// Parse `fbe enumerate` and `fbe maximum` in one flag loop: `--metric`
+/// is `maximum`'s alone, and the model, algorithm and output flags are
+/// `enumerate`'s alone.
+fn parse_query(c: &mut Cursor<'_>, sub: &str) -> Result<Command, String> {
+    let enumerate = sub == "enumerate";
     let (source, _) = parse_source(c)?;
-    let mut alpha = None;
-    let mut beta = None;
-    let mut delta = None;
-    let mut theta = None;
+    let (mut alpha, mut beta, mut delta, mut theta) = (None, None, None, None);
     let mut bi = false;
     let mut algo = SsAlgorithm::FairBcemPP;
     let mut order = VertexOrder::DegreeDesc;
     let mut count_only = false;
     let mut top = None;
+    let mut metric = SizeMetric::Vertices;
     let mut budget = None;
     let mut threads = 1usize;
     let mut sorted = false;
@@ -331,15 +308,48 @@ fn parse_enumerate(c: &mut Cursor<'_>) -> Result<Command, String> {
             "--alpha" => alpha = Some(parse_u32(c.value("--alpha")?, "--alpha")?),
             "--beta" => beta = Some(parse_u32(c.value("--beta")?, "--beta")?),
             "--delta" => delta = Some(parse_u32(c.value("--delta")?, "--delta")?),
-            "--theta" => {
+            "--bi" => bi = true,
+            "--order" => {
+                order = match c.value("--order")? {
+                    "id" => VertexOrder::IdAsc,
+                    "degree" | "deg" => VertexOrder::DegreeDesc,
+                    other => return Err(format!("--order: unknown {other:?}")),
+                }
+            }
+            "--budget-secs" => {
+                budget = Some(Duration::from_secs(
+                    c.value("--budget-secs")?
+                        .parse::<u64>()
+                        .map_err(|e| format!("--budget-secs: {e}"))?,
+                ))
+            }
+            "--threads" => {
+                threads = c
+                    .value("--threads")?
+                    .parse::<usize>()
+                    .map_err(|e| format!("--threads: {e}"))?
+            }
+            "--substrate" => {
+                substrate = c
+                    .value("--substrate")?
+                    .parse()
+                    .map_err(|e| format!("--substrate: {e}"))?
+            }
+            "--metric" if !enumerate => {
+                metric = match c.value("--metric")? {
+                    "vertices" | "v" => SizeMetric::Vertices,
+                    "edges" | "e" => SizeMetric::Edges,
+                    other => return Err(format!("--metric: unknown {other:?}")),
+                }
+            }
+            "--theta" if enumerate => {
                 theta = Some(
                     c.value("--theta")?
                         .parse::<f64>()
                         .map_err(|e| format!("--theta: {e}"))?,
                 )
             }
-            "--bi" => bi = true,
-            "--algo" => {
+            "--algo" if enumerate => {
                 algo = match c.value("--algo")? {
                     "nsf" => SsAlgorithm::Nsf,
                     "bcem" | "fairbcem" => SsAlgorithm::FairBcem,
@@ -347,142 +357,46 @@ fn parse_enumerate(c: &mut Cursor<'_>) -> Result<Command, String> {
                     other => return Err(format!("--algo: unknown {other:?}")),
                 }
             }
-            "--order" => {
-                order = match c.value("--order")? {
-                    "id" => VertexOrder::IdAsc,
-                    "degree" | "deg" => VertexOrder::DegreeDesc,
-                    other => return Err(format!("--order: unknown {other:?}")),
-                }
-            }
-            "--count-only" => count_only = true,
-            "--top" => {
+            "--count-only" if enumerate => count_only = true,
+            "--top" if enumerate => {
                 top = Some(
                     c.value("--top")?
                         .parse::<usize>()
                         .map_err(|e| format!("--top: {e}"))?,
                 )
             }
-            "--budget-secs" => {
-                budget = Some(Duration::from_secs(
-                    c.value("--budget-secs")?
-                        .parse::<u64>()
-                        .map_err(|e| format!("--budget-secs: {e}"))?,
-                ))
-            }
-            "--threads" => {
-                threads = c
-                    .value("--threads")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
-            "--sorted" => sorted = true,
-            "--substrate" => {
-                substrate = c
-                    .value("--substrate")?
-                    .parse()
-                    .map_err(|e| format!("--substrate: {e}"))?
-            }
-            "--trace" => trace = true,
-            other => return Err(format!("enumerate: unknown argument {other:?}")),
+            "--sorted" if enumerate => sorted = true,
+            "--trace" if enumerate => trace = true,
+            other => return Err(format!("{sub}: unknown argument {other:?}")),
         }
     }
-    let alpha = alpha.ok_or("enumerate: --alpha required")?;
-    if alpha == 0 {
-        return Err("enumerate: alpha must be >= 1".into());
-    }
-    if let Some(t) = theta {
-        if !(0.0..=0.5).contains(&t) {
-            return Err("enumerate: theta must be in [0, 0.5]".into());
-        }
-    }
-    Ok(Command::Enumerate {
-        source,
-        alpha,
-        beta: beta.ok_or("enumerate: --beta required")?,
-        delta: delta.ok_or("enumerate: --delta required")?,
-        theta,
+    let required = |v: Option<u32>, flag: &str| v.ok_or_else(|| format!("{sub}: {flag} required"));
+    let model = QueryModel::new(
         bi,
+        required(alpha, "--alpha")?,
+        required(beta, "--beta")?,
+        required(delta, "--delta")?,
+        theta,
+    )
+    .map_err(|e| format!("{sub}: {e}"))?;
+    let mode = match (enumerate, count_only, top) {
+        (false, ..) => Mode::Max(metric),
+        (true, true, _) => Mode::Count,
+        (true, false, Some(k)) => Mode::Top(k),
+        (true, false, None) => Mode::Collect,
+    };
+    Ok(Command::Query(Query {
+        source,
+        model,
         algo,
+        mode,
         order,
-        count_only,
-        top,
         budget,
         threads: threads.max(1),
         sorted,
         substrate,
         trace,
-    })
-}
-
-fn parse_maximum(c: &mut Cursor<'_>) -> Result<Command, String> {
-    let (source, _) = parse_source(c)?;
-    let mut alpha = None;
-    let mut beta = None;
-    let mut delta = None;
-    let mut bi = false;
-    let mut metric = SizeMetric::Vertices;
-    let mut order = VertexOrder::DegreeDesc;
-    let mut budget = None;
-    let mut threads = 1usize;
-    let mut substrate = Substrate::Auto;
-    while let Some(a) = c.next() {
-        match a {
-            "--alpha" => alpha = Some(parse_u32(c.value("--alpha")?, "--alpha")?),
-            "--beta" => beta = Some(parse_u32(c.value("--beta")?, "--beta")?),
-            "--delta" => delta = Some(parse_u32(c.value("--delta")?, "--delta")?),
-            "--bi" => bi = true,
-            "--metric" => {
-                metric = match c.value("--metric")? {
-                    "vertices" | "v" => SizeMetric::Vertices,
-                    "edges" | "e" => SizeMetric::Edges,
-                    other => return Err(format!("--metric: unknown {other:?}")),
-                }
-            }
-            "--order" => {
-                order = match c.value("--order")? {
-                    "id" => VertexOrder::IdAsc,
-                    "degree" | "deg" => VertexOrder::DegreeDesc,
-                    other => return Err(format!("--order: unknown {other:?}")),
-                }
-            }
-            "--budget-secs" => {
-                budget = Some(Duration::from_secs(
-                    c.value("--budget-secs")?
-                        .parse::<u64>()
-                        .map_err(|e| format!("--budget-secs: {e}"))?,
-                ))
-            }
-            "--threads" => {
-                threads = c
-                    .value("--threads")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
-            "--substrate" => {
-                substrate = c
-                    .value("--substrate")?
-                    .parse()
-                    .map_err(|e| format!("--substrate: {e}"))?
-            }
-            other => return Err(format!("maximum: unknown argument {other:?}")),
-        }
-    }
-    let alpha = alpha.ok_or("maximum: --alpha required")?;
-    if alpha == 0 {
-        return Err("maximum: alpha must be >= 1".into());
-    }
-    Ok(Command::Maximum {
-        source,
-        alpha,
-        beta: beta.ok_or("maximum: --beta required")?,
-        delta: delta.ok_or("maximum: --delta required")?,
-        bi,
-        metric,
-        order,
-        budget,
-        threads: threads.max(1),
-        substrate,
-    })
+    }))
 }
 
 fn parse_serve(c: &mut Cursor<'_>) -> Result<Command, String> {
@@ -664,33 +578,17 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Enumerate {
-                alpha,
-                beta,
-                delta,
-                theta,
-                bi,
-                algo,
-                order,
-                top,
-                budget,
-                threads,
-                sorted,
-                substrate,
-                trace,
-                ..
-            } => {
-                assert_eq!((alpha, beta, delta), (3, 2, 1));
-                assert_eq!(theta, Some(0.4));
-                assert!(bi);
-                assert_eq!(algo, SsAlgorithm::FairBcem);
-                assert_eq!(order, VertexOrder::IdAsc);
-                assert_eq!(top, Some(5));
-                assert_eq!(budget, Some(Duration::from_secs(7)));
-                assert_eq!(threads, 4);
-                assert!(sorted);
-                assert_eq!(substrate, Substrate::Bitset);
-                assert!(trace);
+            Command::Query(q) => {
+                let pro = fair_biclique::config::ProParams::new(3, 2, 1, 0.4).unwrap();
+                assert_eq!(q.model, QueryModel::Pbsfbc(pro));
+                assert_eq!(q.algo, SsAlgorithm::FairBcem);
+                assert_eq!(q.order, VertexOrder::IdAsc);
+                assert_eq!(q.mode, Mode::Top(5));
+                assert_eq!(q.budget, Some(Duration::from_secs(7)));
+                assert_eq!(q.threads, 4);
+                assert!(q.sorted);
+                assert_eq!(q.substrate, Substrate::Bitset);
+                assert!(q.trace);
             }
             other => panic!("{other:?}"),
         }
@@ -707,7 +605,7 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Enumerate { trace, .. } => assert!(!trace),
+            Command::Query(q) => assert!(!q.trace),
             other => panic!("{other:?}"),
         }
     }
@@ -733,21 +631,12 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Maximum {
-                alpha,
-                beta,
-                delta,
-                bi,
-                metric,
-                threads,
-                substrate,
-                ..
-            } => {
-                assert_eq!((alpha, beta, delta), (2, 1, 1));
-                assert!(bi);
-                assert_eq!(metric, SizeMetric::Edges);
-                assert_eq!(threads, 3);
-                assert_eq!(substrate, Substrate::SortedVec);
+            Command::Query(q) => {
+                let params = FairParams::unchecked(2, 1, 1);
+                assert_eq!(q.model, QueryModel::Bsfbc(params));
+                assert_eq!(q.mode, Mode::Max(SizeMetric::Edges));
+                assert_eq!(q.threads, 3);
+                assert_eq!(q.substrate, Substrate::SortedVec);
             }
             other => panic!("{other:?}"),
         }

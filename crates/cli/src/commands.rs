@@ -6,18 +6,15 @@
 //! maps `BrokenPipe` to a clean exit. Timing lines go to stderr so
 //! stdout stays byte-stable across runs.
 
-use crate::args::{bi_algo_of, Command, GenerateKind, GraphSource};
+use crate::args::{bi_algo_of, Command, GenerateKind, GraphSource, Query};
 use bigraph::{BipartiteGraph, Side};
-use fair_biclique::biclique::{BicliqueSink, CollectSink, CountSink, EnumStats, TopKSink};
-use fair_biclique::config::{
-    Budget, FairParams, PrepareCtl, ProParams, RunConfig, Substrate, VertexOrder,
-};
+use fair_biclique::biclique::EnumStats;
+use fair_biclique::config::{Budget, FairParams, PrepareCtl, RunConfig};
 use fair_biclique::obs::SpanRecorder;
 use fair_biclique::pipeline::{
     prune_bi_side, prune_single_side, run_bsfbc, run_ssfbc, SsAlgorithm,
 };
-use fair_biclique::prepared::{PreparedQuery, QueryModel};
-use fair_biclique::results::canonical_order;
+use fair_biclique::prepared::{run_serial, Mode, PreparedQuery};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -63,48 +60,14 @@ pub fn execute_to(cmd: Command, out: &mut dyn Write) -> Result<(), CliError> {
         Command::Stats { source } => stats(&source, out),
         Command::Prune {
             source,
-            alpha,
-            beta,
+            params,
             bi,
             kind,
         } => {
-            let text = prune(&source, alpha, beta, bi, kind)?;
+            let text = prune(&source, params, bi, kind)?;
             Ok(out.write_all(text.as_bytes())?)
         }
-        Command::Enumerate {
-            source,
-            alpha,
-            beta,
-            delta,
-            theta,
-            bi,
-            algo,
-            order,
-            count_only,
-            top,
-            budget,
-            threads,
-            sorted,
-            substrate,
-            trace,
-        } => enumerate(
-            out, &source, alpha, beta, delta, theta, bi, algo, order, count_only, top, budget,
-            threads, sorted, substrate, trace,
-        ),
-        Command::Maximum {
-            source,
-            alpha,
-            beta,
-            delta,
-            bi,
-            metric,
-            order,
-            budget,
-            threads,
-            substrate,
-        } => maximum(
-            out, &source, alpha, beta, delta, bi, metric, order, budget, threads, substrate,
-        ),
+        Command::Query(q) => query(out, q),
         Command::Serve {
             host,
             port,
@@ -217,13 +180,11 @@ fn stats(source: &GraphSource, out: &mut dyn Write) -> Result<(), CliError> {
 
 fn prune(
     source: &GraphSource,
-    alpha: u32,
-    beta: u32,
+    params: FairParams,
     bi: bool,
     kind: fair_biclique::config::PruneKind,
 ) -> Result<String, String> {
     let g = load(source)?;
-    let params = FairParams::new(alpha.max(1), beta, 0).map_err(|e| e.to_string())?;
     let out = if bi {
         prune_bi_side(&g, params, kind)
     } else {
@@ -237,32 +198,6 @@ fn prune(
         out.stats.edges_before,
         out.stats.edges_after,
     ))
-}
-
-/// Where `fbe enumerate` gets its results from.
-enum Route<'a> {
-    /// The default algorithm: a prepared plan, at any thread count.
-    Prepared(Box<PreparedQuery>),
-    /// A non-default `--algo`: a paper baseline, run serially.
-    Baseline(&'a dyn Fn(&mut dyn BicliqueSink) -> EnumStats),
-}
-
-impl Route<'_> {
-    /// Enumerate into sinks built by `make_sink` (one per worker).
-    fn stream<S: BicliqueSink + Send>(
-        &self,
-        cfg: &RunConfig,
-        make_sink: &(dyn Fn() -> S + Sync),
-    ) -> (Vec<S>, EnumStats) {
-        match self {
-            Route::Prepared(plan) => plan.stream(cfg, make_sink),
-            Route::Baseline(run) => {
-                let mut sink = make_sink();
-                let stats = run(&mut sink);
-                (vec![sink], stats)
-            }
-        }
-    }
 }
 
 /// Report a run's wall-clock phases on stderr (stdout stays
@@ -286,154 +221,68 @@ fn report_timing(t0: Instant, prune: Option<Duration>, stats: &EnumStats, rec: &
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn enumerate(
-    out: &mut dyn Write,
-    source: &GraphSource,
-    alpha: u32,
-    beta: u32,
-    delta: u32,
-    theta: Option<f64>,
-    bi: bool,
-    algo: SsAlgorithm,
-    order: VertexOrder,
-    count_only: bool,
-    top: Option<usize>,
-    budget: Option<Duration>,
-    threads: usize,
-    sorted: bool,
-    substrate: Substrate,
-    trace: bool,
-) -> Result<(), CliError> {
+/// Run `fbe enumerate` or `fbe maximum`: a prepared plan at any thread
+/// count, or a serial `--algo` baseline, gathered in the query's mode.
+fn query(out: &mut dyn Write, q: Query) -> Result<(), CliError> {
     // `--algo` selects among the serial algorithms only; the default
     // runs on the parallel engine too.
-    if threads > 1 && algo != SsAlgorithm::FairBcemPP {
+    if q.threads > 1 && q.algo != SsAlgorithm::FairBcemPP {
         return Err(CliError::Usage(
             "enumerate: --threads > 1 requires the default --algo bcem++".into(),
         ));
     }
     // The proportion models have no baseline algorithm.
-    if theta.is_some() && algo != SsAlgorithm::FairBcemPP {
+    if q.model.theta().is_some() && q.algo != SsAlgorithm::FairBcemPP {
         return Err(CliError::Usage(
             "enumerate: --theta requires the default --algo bcem++".into(),
         ));
     }
-    let g = load(source)?;
-    let params = FairParams::new(alpha, beta, delta).map_err(|e| e.to_string())?;
+    let g = load(&q.source)?;
     let cfg = RunConfig {
-        order,
-        budget: budget.map_or(Budget::UNLIMITED, Budget::time),
-        threads,
-        sorted,
-        substrate,
+        order: q.order,
+        budget: q.budget.map_or(Budget::UNLIMITED, Budget::time),
+        threads: q.threads,
+        sorted: q.sorted,
+        substrate: q.substrate,
         ..RunConfig::default()
-    };
-    let pro = match theta {
-        Some(t) => Some(ProParams::new(alpha, beta, delta, t).map_err(|e| e.to_string())?),
-        None => None,
-    };
-    let model = match (bi, pro) {
-        (false, None) => QueryModel::Ssfbc(params),
-        (true, None) => QueryModel::Bsfbc(params),
-        (false, Some(p)) => QueryModel::Pssfbc(p),
-        (true, Some(p)) => QueryModel::Pbsfbc(p),
     };
     // Every mode records the same span vocabulary the service traces
     // (prepare stages, enumerate, sort). A disabled recorder renders
     // nothing.
-    let mut rec = if trace {
+    let mut rec = if q.trace {
         SpanRecorder::enabled()
     } else {
         SpanRecorder::disabled()
     };
 
     let t0 = Instant::now();
-    let baseline = |sink: &mut dyn BicliqueSink| {
-        if bi {
-            run_bsfbc(&g, params, bi_algo_of(algo), &cfg, sink).1
-        } else {
-            run_ssfbc(&g, params, algo, &cfg, sink).1
-        }
-    };
-    let (route, prune) = if algo == SsAlgorithm::FairBcemPP {
+    let (bicliques, stats, prune) = if q.algo == SsAlgorithm::FairBcemPP {
         let ctl = PrepareCtl::UNBOUNDED;
-        let plan = PreparedQuery::prepare_rec(&g, model, cfg.prune, substrate, &ctl, &mut rec)
+        let plan = PreparedQuery::prepare_rec(&g, q.model, cfg.prune, q.substrate, &ctl, &mut rec)
             // fbe-lint: allow(no-panic-paths): PrepareCtl::UNBOUNDED never interrupts, so Err is unreachable — same contract PreparedQuery::prepare relies on
             .expect("unbounded prepare is never interrupted");
-        let prune = plan.prune_elapsed();
-        (Route::Prepared(Box::new(plan)), Some(prune))
+        let report = plan.run(q.mode, &cfg, &mut rec);
+        (report.bicliques, report.stats, Some(report.prune_elapsed))
     } else {
-        (Route::Baseline(&baseline), None)
-    };
-
-    // Counting and top-k stream into bounded sinks (per-worker top-k
-    // sinks merge into one), so no mode materializes more than it
-    // prints.
-    let (stats, mut bicliques) = rec.timed("enumerate", || {
-        if count_only {
-            (route.stream(&cfg, &CountSink::default).1, Vec::new())
-        } else if let Some(k) = top {
-            let (sinks, stats) = route.stream(&cfg, &|| TopKSink::new(k));
-            let mut merged = TopKSink::new(k);
-            for bc in sinks.into_iter().flat_map(TopKSink::into_sorted) {
-                merged.emit(&bc.upper, &bc.lower);
+        let params = q.model.base();
+        let (bicliques, stats) = run_serial(q.mode, &cfg, &mut rec, |sink| {
+            if q.model.is_bi_side() {
+                run_bsfbc(&g, params, bi_algo_of(q.algo), &cfg, sink).1
+            } else {
+                run_ssfbc(&g, params, q.algo, &cfg, sink).1
             }
-            (stats, merged.into_sorted())
-        } else {
-            let (sinks, stats) = route.stream(&cfg, &CollectSink::default);
-            (stats, sinks.into_iter().flat_map(|s| s.bicliques).collect())
-        }
-    });
-    rec.annotate_last(|| format!("threads={} {stats}", threads.max(1)));
-    if sorted && !count_only && top.is_none() {
-        rec.timed("sort", || canonical_order(&mut bicliques));
-    }
+        });
+        (bicliques, stats, None)
+    };
     report_timing(t0, prune, &stats, &rec);
-    let (n, aborted) = (stats.emitted, stats.aborted);
-    render(out, model.name(), n, aborted, count_only, top, &bicliques)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn maximum(
-    out: &mut dyn Write,
-    source: &GraphSource,
-    alpha: u32,
-    beta: u32,
-    delta: u32,
-    bi: bool,
-    metric: fair_biclique::maximum::SizeMetric,
-    order: VertexOrder,
-    budget: Option<Duration>,
-    threads: usize,
-    substrate: Substrate,
-) -> Result<(), CliError> {
-    let g = load(source)?;
-    let params = FairParams::new(alpha, beta, delta).map_err(|e| e.to_string())?;
-    let cfg = RunConfig {
-        order,
-        budget: budget.map_or(Budget::UNLIMITED, Budget::time),
-        threads,
-        substrate,
-        ..RunConfig::default()
-    };
-    let t0 = Instant::now();
-    let (best, _) = if bi {
-        fair_biclique::maximum::max_bsfbc(&g, params, metric, &cfg)
-    } else {
-        fair_biclique::maximum::max_ssfbc(&g, params, metric, &cfg)
-    };
-    eprintln!("timing: total {:.3?}", t0.elapsed());
-    let model = if bi { "BSFBC" } else { "SSFBC" };
-    match best {
-        Some(bc) => writeln!(
-            out,
-            "maximum {model} ({metric:?}): |L|={} |R|={}\n  {bc}",
-            bc.upper.len(),
-            bc.lower.len()
-        )?,
-        None => writeln!(out, "maximum {model} ({metric:?}): none")?,
-    }
-    Ok(())
+    render(
+        out,
+        q.model.name(),
+        q.mode,
+        stats.emitted,
+        stats.aborted,
+        &bicliques,
+    )
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -489,22 +338,30 @@ fn batch(out: &mut dyn Write, connect: Option<&str>, path: Option<&str>) -> Resu
 fn render(
     out: &mut dyn Write,
     model: &str,
+    mode: Mode,
     count: u64,
     aborted: bool,
-    count_only: bool,
-    top: Option<usize>,
     bicliques: &[fair_biclique::biclique::Biclique],
 ) -> Result<(), CliError> {
+    if let Mode::Max(metric) = mode {
+        match bicliques.first() {
+            Some(bc) => writeln!(
+                out,
+                "maximum {model} ({metric:?}): |L|={} |R|={}\n  {bc}",
+                bc.upper.len(),
+                bc.lower.len()
+            )?,
+            None => writeln!(out, "maximum {model} ({metric:?}): none")?,
+        }
+        return Ok(());
+    }
     let suffix = if aborted {
         " (budget hit; lower bound)"
     } else {
         ""
     };
     writeln!(out, "{model} count: {count}{suffix}")?;
-    if count_only {
-        return Ok(());
-    }
-    if let Some(k) = top {
+    if let Mode::Top(k) = mode {
         writeln!(out, "top {k} by size:")?;
     }
     for bc in bicliques {
@@ -567,27 +424,25 @@ mod tests {
 
     fn render_str(
         model: &str,
+        mode: Mode,
         count: u64,
         aborted: bool,
-        count_only: bool,
-        top: Option<usize>,
         bicliques: &[fair_biclique::biclique::Biclique],
     ) -> String {
         let mut buf = Vec::new();
-        render(&mut buf, model, count, aborted, count_only, top, bicliques).unwrap();
+        render(&mut buf, model, mode, count, aborted, bicliques).unwrap();
         String::from_utf8(buf).unwrap()
     }
 
     #[test]
     fn render_formats() {
-        let s = render_str("SSFBC", 3, true, true, None, &[]);
+        let s = render_str("SSFBC", Mode::Count, 3, true, &[]);
         assert!(s.contains("lower bound"));
         let s = render_str(
             "BSFBC",
+            Mode::Top(2),
             1,
             false,
-            false,
-            Some(2),
             &[fair_biclique::biclique::Biclique::new(vec![0], vec![1])],
         );
         assert!(s.contains("top 2"));
@@ -606,7 +461,7 @@ mod tests {
                 Ok(())
             }
         }
-        let err = render(&mut Broken, "SSFBC", 1, false, false, None, &[]).unwrap_err();
+        let err = render(&mut Broken, "SSFBC", Mode::Collect, 1, false, &[]).unwrap_err();
         match err {
             CliError::Io(e) => assert_eq!(e.kind(), io::ErrorKind::BrokenPipe),
             other => panic!("expected Io, got {other:?}"),

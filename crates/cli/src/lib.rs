@@ -10,7 +10,8 @@
 //! * `fbe enumerate` — enumerate SSFBC/BSFBC/PSSFBC/PBSFBC, printing
 //!   results, the top-k largest, or just the count;
 //! * `fbe maximum` — the single largest fair biclique under a size
-//!   metric;
+//!   metric (the same query as `enumerate`, in the maximum result
+//!   mode: [`args::Query`]);
 //! * `fbe serve` — the resident query service (graph catalog,
 //!   prepared-plan cache, deadline-aware admission) over TCP;
 //! * `fbe batch` — run service-protocol scripts offline or against a
@@ -58,6 +59,12 @@ A <stem> refers to the three files written by `fbe generate`:
 A bare edges file may be given instead (attributes default to value 0;
 combine with --attrs to declare domain sizes).
 
+fbe enumerate and fbe maximum run one query in different result modes:
+every result, only the count (--count-only), the K largest (--top <K>),
+or the single largest under --metric (maximum). Each accepts only the
+flags on its usage line above; --alpha must be at least 1 (prune too)
+and --theta must lie in [0, 0.5].
+
 --threads <N> with N > 1 runs any model (enumerate or maximum) on the
 work-stealing parallel engine; budgets stay global, and with --sorted
 the output is byte-identical across thread counts. The non-default
@@ -73,8 +80,9 @@ Results are identical across substrates — only speed/memory differ.
 tree (prepare: core-peel / 2hop / colorful peels, plan-resolve,
 enumerate, sort — the same vocabulary the service's TRACE verb and
 SLOWLOG use; see the README's Observability section). Stdout stays
-byte-identical with and without it. Every mode records spans; a
-non-default --algo baseline prunes inside its enumerate span.
+byte-identical with and without it. Every mode records spans: sort
+covers --sorted and the merge of the --top K lists; a non-default
+--algo baseline prunes inside its enumerate span.
 
 fbe serve starts the resident query service on a TCP port (0 picks an
 ephemeral port, printed on startup): named graphs are loaded once
@@ -445,6 +453,52 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("alpha"), "{err}");
+    }
+
+    #[test]
+    fn prune_rejects_alpha_zero_like_the_query_commands() {
+        let dir = std::env::temp_dir().join("fbe_cli_prune_alpha_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let stem = dir.join("g");
+        let stem_s = stem.to_str().unwrap();
+        run(&sv(&["generate", "--uniform", "12,12,60", "--out", stem_s])).unwrap();
+        for sub in ["prune", "enumerate", "maximum"] {
+            let argv = sv(&[sub, stem_s, "--alpha", "0", "--beta", "1", "--delta", "1"]);
+            // `prune` takes no `--delta`.
+            let argv = if sub == "prune" {
+                &argv[..6]
+            } else {
+                &argv[..]
+            };
+            let err = run(argv).unwrap_err();
+            assert_eq!(err, format!("{sub}: alpha must be >= 1"));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn query_flags_stay_with_their_subcommand() {
+        let base = ["g", "--alpha", "1", "--beta", "1", "--delta", "1"];
+        let maximum_refuses: [&[&str]; 6] = [
+            &["--theta", "0.3"],
+            &["--top", "3"],
+            &["--count-only"],
+            &["--sorted"],
+            &["--trace"],
+            &["--algo", "nsf"],
+        ];
+        for extra in maximum_refuses {
+            let mut argv = vec!["maximum"];
+            argv.extend(base);
+            argv.extend(extra);
+            let err = run(&sv(&argv)).unwrap_err();
+            assert_eq!(err, format!("maximum: unknown argument {:?}", extra[0]));
+        }
+        let mut argv = vec!["enumerate"];
+        argv.extend(base);
+        argv.extend(["--metric", "edges"]);
+        let err = run(&sv(&argv)).unwrap_err();
+        assert_eq!(err, "enumerate: unknown argument \"--metric\"");
     }
 
     /// FNV-1a (64-bit): a digest that stays fixed across toolchains.

@@ -30,7 +30,7 @@ pub fn bfcore_masks(g: &BipartiteGraph, alpha: u32, beta: u32) -> (Vec<bool>, Ve
 }
 
 /// [`bfcore_masks`] with cooperative interruption (probed every
-/// [`CTL_PROBE_INTERVAL`] peel steps, as in
+/// `CTL_PROBE_INTERVAL` peel steps, as in
 /// [`crate::fcore::fcore_masks_ctl`]).
 pub fn bfcore_masks_ctl(
     g: &BipartiteGraph,

@@ -106,7 +106,7 @@ pub fn fcore_masks(g: &BipartiteGraph, alpha: u32, beta: u32) -> (Vec<bool>, Vec
 }
 
 /// [`fcore_masks`] with cooperative interruption: probes `ctl` every
-/// [`CTL_PROBE_INTERVAL`] peel steps and aborts with the interrupting
+/// `CTL_PROBE_INTERVAL` peel steps and aborts with the interrupting
 /// [`StopReason`]. A default (unbounded) `ctl` adds no per-step work.
 pub fn fcore_masks_ctl(
     g: &BipartiteGraph,

@@ -102,7 +102,7 @@ pub mod prelude {
         enumerate_bsfbc, enumerate_pbsfbc, enumerate_pssfbc, enumerate_ssfbc, BiAlgorithm,
         RunReport, SsAlgorithm,
     };
-    pub use crate::prepared::{PreparedQuery, QueryModel};
+    pub use crate::prepared::{Mode, PreparedQuery, QueryModel};
 }
 
 pub use prelude::*;

@@ -9,7 +9,8 @@
 use crate::biclique::{Biclique, BicliqueSink};
 use crate::config::{FairParams, RunConfig};
 use crate::fcore::PruneStats;
-use crate::prepared::{PreparedQuery, QueryModel};
+use crate::obs::SpanRecorder;
+use crate::prepared::{Mode, PreparedQuery, QueryModel};
 use bigraph::{BipartiteGraph, VertexId};
 use serde::{Deserialize, Serialize};
 
@@ -78,26 +79,10 @@ impl BicliqueSink for MaxSink {
     }
 }
 
-/// Merge per-worker best-so-far sinks under the same deterministic
-/// tie-break, so a parallel maximum equals the serial one.
-pub(crate) fn merge_max(metric: SizeMetric, sinks: impl IntoIterator<Item = MaxSink>) -> MaxSink {
-    let mut merged = MaxSink::new(metric);
-    let mut seen = 0u64;
-    for s in sinks {
-        seen += s.seen;
-        if let Some(b) = s.best {
-            merged.emit(&b.upper, &b.lower);
-        }
-    }
-    merged.seen = seen;
-    merged
-}
-
 /// The largest single-side fair biclique of `g` under `metric`
 /// (`None` when no SSFBC exists). Exact; runs the `FairBCEM++`
-/// pipeline under the hood (prepare, then
-/// [`PreparedQuery::maximum`]), on the parallel engine when
-/// `cfg.threads > 1`.
+/// pipeline under the hood (prepare, then [`PreparedQuery::run`] with
+/// [`Mode::Max`]), on the parallel engine when `cfg.threads > 1`.
 pub fn max_ssfbc(
     g: &BipartiteGraph,
     params: FairParams,
@@ -125,7 +110,8 @@ fn max_of(
     cfg: &RunConfig,
 ) -> (Option<Biclique>, PruneStats) {
     let plan = PreparedQuery::prepare(g, model, cfg.prune, cfg.substrate);
-    (plan.maximum(metric, cfg).0, *plan.prune_stats())
+    let report = plan.run(Mode::Max(metric), cfg, &mut SpanRecorder::disabled());
+    (report.bicliques.into_iter().next(), report.prune)
 }
 
 #[cfg(test)]

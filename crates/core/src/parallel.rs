@@ -13,7 +13,7 @@
 //!
 //! # Design
 //!
-//! * **Shared branch deque.** Work units are [`BranchTask`]s: exact
+//! * **Shared branch deque.** Work units are `BranchTask`s: exact
 //!   search states `(L, R, P, Q)` of the serial enumeration tree,
 //!   held in a shared deque that idle workers steal from. The whole
 //!   run starts as one root task; a worker executing a task above
@@ -35,7 +35,7 @@
 //!   exactly once, and the summed per-worker node counts equal the
 //!   serial node count (tested).
 //! * **Global budget.** All workers draw node ticks and result slots
-//!   from one [`SharedBudget`] — atomic countdowns acquired *before*
+//!   from one `SharedBudget` — atomic countdowns acquired *before*
 //!   work happens. A `Budget::results(K)` therefore yields exactly
 //!   `min(K, total)` results regardless of thread count (the old
 //!   per-worker budgets could emit `threads × K`), and node/time
@@ -59,7 +59,7 @@
 //! `BudgetClock::tick`, i.e. per search-tree node or expansion step),
 //! so cancellation latency is bounded by a handful of branch
 //! expansions, not by subtree size. The first worker to observe the
-//! token trips the run's [`SharedBudget`], which stops every sibling
+//! token trips the run's `SharedBudget`, which stops every sibling
 //! worker at its next tick exactly like any other exhausted limit.
 //! Consequences:
 //!

@@ -218,54 +218,6 @@ pub fn run_bsfbc(
     (pruned.stats, stats)
 }
 
-/// Streaming proportion single-side enumeration (`FairBCEMPro++`).
-pub fn run_pssfbc(
-    g: &BipartiteGraph,
-    pro: ProParams,
-    cfg: &RunConfig,
-    sink: &mut dyn BicliqueSink,
-) -> (PruneStats, EnumStats) {
-    let pruned = prune_single_side(g, pro.base, cfg.prune);
-    let mut mapped = MappingSink::new(
-        &pruned.sub.upper_to_parent,
-        &pruned.sub.lower_to_parent,
-        sink,
-    );
-    let stats = walk_on_pruned(
-        &pruned.sub.graph,
-        QueryModel::Pssfbc(pro),
-        cfg.order,
-        cfg.budget.clone(),
-        cfg.substrate,
-        &mut mapped,
-    );
-    (pruned.stats, stats)
-}
-
-/// Streaming proportion bi-side enumeration (`BFairBCEMPro++`).
-pub fn run_pbsfbc(
-    g: &BipartiteGraph,
-    pro: ProParams,
-    cfg: &RunConfig,
-    sink: &mut dyn BicliqueSink,
-) -> (PruneStats, EnumStats) {
-    let pruned = prune_bi_side(g, pro.base, cfg.prune);
-    let mut mapped = MappingSink::new(
-        &pruned.sub.upper_to_parent,
-        &pruned.sub.lower_to_parent,
-        sink,
-    );
-    let stats = walk_on_pruned(
-        &pruned.sub.graph,
-        QueryModel::Pbsfbc(pro),
-        cfg.order,
-        cfg.budget.clone(),
-        cfg.substrate,
-        &mut mapped,
-    );
-    (pruned.stats, stats)
-}
-
 /// Prepare-then-execute: the collected pipelines are one-shot uses of
 /// the prepared-plan layer ([`crate::prepared`]), so a cached plan in
 /// the query service executes bit-identically to these.

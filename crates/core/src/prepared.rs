@@ -15,26 +15,31 @@
 //! Enumeration has one path: [`PreparedQuery::stream`] runs the
 //! model's miner into caller-built sinks, serially on the caller's
 //! thread or, when `threads > 1`, on the work-stealing engine
-//! ([`crate::parallel`]). [`PreparedQuery::execute`],
-//! [`PreparedQuery::count`] and [`PreparedQuery::maximum`] are that
-//! stream with a collecting, counting or best-so-far sink, and the
-//! collected pipelines in [`crate::pipeline`] are one-shot
-//! prepare → execute runs, so prepared execution is bit-identical to
-//! them by construction.
+//! ([`crate::parallel`]). Results are gathered by one executor,
+//! [`PreparedQuery::run`]: a [`Mode`] picks the per-worker sink
+//! (collect, count, top-k or maximum), how the workers' sinks merge
+//! and which spans record the run. [`run_serial`] gathers a caller's
+//! own serial miner (the paper's baselines) through the same merge.
+//! [`PreparedQuery::execute`] and [`PreparedQuery::count`] are `run`
+//! in the collect and count modes, and the collected pipelines in
+//! [`crate::pipeline`] are one-shot prepare → execute runs, so
+//! prepared execution is bit-identical to them by construction.
 
-use crate::biclique::{Biclique, BicliqueSink, CollectSink, CountSink, EnumStats, MappingSink};
+use crate::biclique::{
+    Biclique, BicliqueSink, CollectSink, CountSink, EnumStats, MappingSink, TopKSink,
+};
 use crate::config::{
-    FairParams, PrepareCtl, ProParams, PruneKind, RunConfig, StopReason, Substrate,
+    FairParams, ParamError, PrepareCtl, ProParams, PruneKind, RunConfig, StopReason, Substrate,
 };
 use crate::expansion::walk;
 use crate::fairset::FairRule;
 use crate::fcore::{PruneOutcome, PruneStats};
-use crate::maximum::{merge_max, MaxSink, SizeMetric};
+use crate::maximum::{MaxSink, SizeMetric};
 use crate::obs::SpanRecorder;
 use crate::parallel::parallel_walk;
 use crate::pipeline::{prune_bi_side_rec, prune_single_side_rec, RunReport};
 use bigraph::candidate::CandidatePlan;
-use bigraph::BipartiteGraph;
+use bigraph::{BipartiteGraph, VertexId};
 use std::time::{Duration, Instant};
 
 /// Which fair-biclique model a query runs, with its parameters.
@@ -51,6 +56,24 @@ pub enum QueryModel {
 }
 
 impl QueryModel {
+    /// The model a query's flags select: `bi` picks the bi-side
+    /// models, a `theta` the proportion ones. Validates the
+    /// parameters like [`FairParams::new`] and [`ProParams::new`].
+    pub fn new(
+        bi: bool,
+        alpha: u32,
+        beta: u32,
+        delta: u32,
+        theta: Option<f64>,
+    ) -> Result<QueryModel, ParamError> {
+        Ok(match (bi, theta) {
+            (false, None) => QueryModel::Ssfbc(FairParams::new(alpha, beta, delta)?),
+            (true, None) => QueryModel::Bsfbc(FairParams::new(alpha, beta, delta)?),
+            (false, Some(t)) => QueryModel::Pssfbc(ProParams::new(alpha, beta, delta, t)?),
+            (true, Some(t)) => QueryModel::Pbsfbc(ProParams::new(alpha, beta, delta, t)?),
+        })
+    }
+
     /// Canonical model name (`SSFBC` / `BSFBC` / `PSSFBC` / `PBSFBC`).
     pub fn name(&self) -> &'static str {
         match self {
@@ -258,13 +281,22 @@ impl PreparedQuery {
         (vec![sink], stats)
     }
 
-    fn report(
-        &self,
-        bicliques: Vec<Biclique>,
-        stats: EnumStats,
-        cfg: &RunConfig,
-        enumerate_elapsed: Duration,
-    ) -> RunReport {
+    /// Run the model's miner on the cached core/plan and gather its
+    /// results the way `mode` asks (see [`Mode`]), honoring the order,
+    /// budget, thread count and `sorted` flag of `cfg`.
+    ///
+    /// Records an `enumerate` span (with the run's [`EnumStats`]
+    /// attached as detail) and a `sort` span for the merge of a sorted
+    /// collection or of the per-worker top-k / maxima. Spans are
+    /// recorded only at this single-threaded orchestration boundary —
+    /// never inside the parallel workers — so the recorder cannot
+    /// perturb enumeration; a disabled recorder records nothing.
+    /// `RunReport::prune_elapsed` reports the (possibly amortized)
+    /// preparation cost of this plan.
+    pub fn run(&self, mode: Mode, cfg: &RunConfig, rec: &mut SpanRecorder) -> RunReport {
+        let t0 = Instant::now();
+        let (bicliques, stats) = gather(mode, cfg, rec, |make| self.stream(cfg, make));
+        let enumerate_elapsed = t0.elapsed();
         RunReport {
             bicliques,
             prune: self.pruned.stats,
@@ -277,82 +309,129 @@ impl PreparedQuery {
         }
     }
 
-    /// Enumerate and collect all results (original ids; honors
-    /// `cfg.sorted`, `cfg.threads`, and the budget/cancellation in
-    /// `cfg.budget`). `RunReport::prune_elapsed` reports the (possibly
-    /// amortized) preparation cost of this plan.
+    /// Enumerate and collect all results: [`PreparedQuery::run`] with
+    /// [`Mode::Collect`] and no spans.
     pub fn execute(&self, cfg: &RunConfig) -> RunReport {
-        self.execute_rec(cfg, &mut SpanRecorder::disabled())
-    }
-
-    /// [`PreparedQuery::execute`] with a [`SpanRecorder`]: records an
-    /// `enumerate` span (with the run's [`EnumStats`] attached as
-    /// detail) and, when `cfg.sorted`, a `sort` span for the canonical
-    /// reorder. Spans are recorded only at this single-threaded
-    /// orchestration boundary — never inside the parallel workers —
-    /// so the recorder cannot perturb enumeration. A disabled recorder
-    /// makes this identical to `execute`.
-    pub fn execute_rec(&self, cfg: &RunConfig, rec: &mut SpanRecorder) -> RunReport {
-        let t0 = Instant::now();
-        let (sinks, stats) = rec.timed("enumerate", || self.stream(cfg, &CollectSink::default));
-        // A serial run's single sink is moved, not copied.
-        let mut sinks = sinks.into_iter().map(|s| s.bicliques);
-        let mut bicliques = sinks.next().unwrap_or_default();
-        for more in sinks {
-            bicliques.extend(more);
-        }
-        annotate_enumerate(rec, &stats, cfg.threads.max(1));
-        if cfg.sorted {
-            rec.timed("sort", || {
-                crate::results::canonical_order(&mut bicliques);
-            });
-        }
-        self.report(bicliques, stats, cfg, t0.elapsed())
+        self.run(Mode::Collect, cfg, &mut SpanRecorder::disabled())
     }
 
     /// Count results without materializing them (`stats.emitted` is
-    /// the count; `bicliques` stays empty).
+    /// the count; `bicliques` stays empty): [`PreparedQuery::run`]
+    /// with [`Mode::Count`] and no spans.
     pub fn count(&self, cfg: &RunConfig) -> RunReport {
-        self.count_rec(cfg, &mut SpanRecorder::disabled())
-    }
-
-    /// [`PreparedQuery::count`] with a [`SpanRecorder`] (see
-    /// [`PreparedQuery::execute_rec`]; counting has no `sort` span).
-    pub fn count_rec(&self, cfg: &RunConfig, rec: &mut SpanRecorder) -> RunReport {
-        let t0 = Instant::now();
-        let (_, stats) = rec.timed("enumerate", || self.stream(cfg, &CountSink::default));
-        annotate_enumerate(rec, &stats, cfg.threads.max(1));
-        self.report(Vec::new(), stats, cfg, t0.elapsed())
-    }
-
-    /// The single largest result under `metric` (ties broken
-    /// lexicographically, matching [`crate::maximum`]). Works for all
-    /// four models — the proportion maxima simply rank the proportion
-    /// enumeration's output.
-    pub fn maximum(&self, metric: SizeMetric, cfg: &RunConfig) -> (Option<Biclique>, EnumStats) {
-        self.maximum_rec(metric, cfg, &mut SpanRecorder::disabled())
-    }
-
-    /// [`PreparedQuery::maximum`] with a [`SpanRecorder`]: records
-    /// `enumerate` for the search and `sort` for the merge of the
-    /// per-worker maxima.
-    pub fn maximum_rec(
-        &self,
-        metric: SizeMetric,
-        cfg: &RunConfig,
-        rec: &mut SpanRecorder,
-    ) -> (Option<Biclique>, EnumStats) {
-        let (sinks, stats) = rec.timed("enumerate", || self.stream(cfg, &|| MaxSink::new(metric)));
-        annotate_enumerate(rec, &stats, cfg.threads.max(1));
-        let best = rec.timed("sort", || merge_max(metric, sinks).best);
-        (best, stats)
+        self.run(Mode::Count, cfg, &mut SpanRecorder::disabled())
     }
 }
 
-/// Attach the run's [`EnumStats`] as detail on the just-recorded
-/// `enumerate` span (no-op when disabled).
-fn annotate_enumerate(rec: &mut SpanRecorder, stats: &EnumStats, threads: usize) {
-    rec.annotate_last(|| format!("threads={threads} {stats}"));
+/// How a run gathers the results its miner emits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// Every result, in discovery order or, with
+    /// [`RunConfig::sorted`], in [`crate::results::canonical_order`].
+    Collect,
+    /// Only the count (`stats.emitted`); nothing is materialized.
+    Count,
+    /// The `k` largest results by vertex count, largest first (ties
+    /// broken lexicographically, as [`crate::biclique::TopKSink`]).
+    Top(usize),
+    /// The single largest result under a metric (ties broken
+    /// lexicographically, as [`crate::maximum::MaxSink`]), if any.
+    Max(SizeMetric),
+}
+
+/// Run `walk` serially into a sink for `mode` and gather its results
+/// exactly as [`PreparedQuery::run`] does (same merge, same spans).
+/// This is the entry point for miners that are not prepared plans,
+/// such as the paper's baselines behind a caller's closure. Returns
+/// the results and the walk's statistics.
+pub fn run_serial(
+    mode: Mode,
+    cfg: &RunConfig,
+    rec: &mut SpanRecorder,
+    walk: impl FnOnce(&mut dyn BicliqueSink) -> EnumStats,
+) -> (Vec<Biclique>, EnumStats) {
+    gather(mode, cfg, rec, |make| {
+        let mut sink = make();
+        let stats = walk(&mut sink);
+        (vec![sink], stats)
+    })
+}
+
+/// The shared body of [`PreparedQuery::run`] and [`run_serial`]:
+/// `stream` fills one [`ModeSink`] per worker under an `enumerate`
+/// span, then the sinks merge into the run's results.
+fn gather(
+    mode: Mode,
+    cfg: &RunConfig,
+    rec: &mut SpanRecorder,
+    stream: impl FnOnce(&(dyn Fn() -> ModeSink + Sync)) -> (Vec<ModeSink>, EnumStats),
+) -> (Vec<Biclique>, EnumStats) {
+    let (sinks, stats) = rec.timed("enumerate", || stream(&|| ModeSink::new(mode)));
+    rec.annotate_last(|| format!("threads={} {stats}", cfg.threads.max(1)));
+    let mut results = sinks.into_iter().map(ModeSink::into_results);
+    let bicliques = match mode {
+        Mode::Collect | Mode::Count => {
+            // A serial run's single sink is moved, not copied.
+            let mut all = results.next().unwrap_or_default();
+            all.extend(results.flatten());
+            if cfg.sorted && mode == Mode::Collect {
+                rec.timed("sort", || crate::results::canonical_order(&mut all));
+            }
+            all
+        }
+        // Re-emitting every worker's survivors into one fresh sink
+        // keeps exactly the survivors a serial run keeps: both sinks
+        // retain by a total order, independent of arrival order.
+        Mode::Top(_) | Mode::Max(_) => rec.timed("sort", || {
+            let mut merged = ModeSink::new(mode);
+            for bc in results.flatten() {
+                merged.emit(&bc.upper, &bc.lower);
+            }
+            merged.into_results()
+        }),
+    };
+    (bicliques, stats)
+}
+
+/// The sink one worker fills for a [`Mode`].
+enum ModeSink {
+    Collect(CollectSink),
+    Count(CountSink),
+    Top(TopKSink),
+    Max(MaxSink),
+}
+
+impl ModeSink {
+    fn new(mode: Mode) -> ModeSink {
+        match mode {
+            Mode::Collect => ModeSink::Collect(CollectSink::default()),
+            Mode::Count => ModeSink::Count(CountSink::default()),
+            Mode::Top(k) => ModeSink::Top(TopKSink::new(k)),
+            Mode::Max(metric) => ModeSink::Max(MaxSink::new(metric)),
+        }
+    }
+
+    /// The results this sink kept, in its mode's order.
+    fn into_results(self) -> Vec<Biclique> {
+        match self {
+            ModeSink::Collect(s) => s.bicliques,
+            ModeSink::Count(_) => Vec::new(),
+            ModeSink::Top(s) => s.into_sorted(),
+            ModeSink::Max(s) => s.best.into_iter().collect(),
+        }
+    }
+}
+
+impl BicliqueSink for ModeSink {
+    #[inline]
+    fn emit(&mut self, upper: &[VertexId], lower: &[VertexId]) {
+        match self {
+            ModeSink::Collect(s) => s.emit(upper, lower),
+            ModeSink::Count(s) => s.emit(upper, lower),
+            ModeSink::Top(s) => s.emit(upper, lower),
+            ModeSink::Max(s) => s.emit(upper, lower),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -418,8 +497,9 @@ mod tests {
             PreparedQuery::prepare(&g, QueryModel::Ssfbc(params), cfg.prune, cfg.substrate);
         for threads in [1usize, 4] {
             let cfg = RunConfig::with_threads(threads);
-            let (got, _) = prepared.maximum(SizeMetric::Edges, &cfg);
-            assert_eq!(got, want, "threads {threads}");
+            let mode = Mode::Max(SizeMetric::Edges);
+            let got = prepared.run(mode, &cfg, &mut SpanRecorder::disabled());
+            assert_eq!(got.bicliques.into_iter().next(), want, "threads {threads}");
         }
     }
 
@@ -529,6 +609,30 @@ mod tests {
         assert_eq!(QueryModel::Pssfbc(pro).base(), fair);
         assert_eq!(QueryModel::Pssfbc(pro).theta(), Some(0.25));
         assert_eq!(QueryModel::Ssfbc(fair).theta(), None);
+        assert_eq!(
+            QueryModel::new(false, 3, 2, 1, None),
+            Ok(QueryModel::Ssfbc(fair))
+        );
+        assert_eq!(
+            QueryModel::new(true, 3, 2, 1, None),
+            Ok(QueryModel::Bsfbc(fair))
+        );
+        assert_eq!(
+            QueryModel::new(false, 3, 2, 1, Some(0.25)),
+            Ok(QueryModel::Pssfbc(pro))
+        );
+        assert_eq!(
+            QueryModel::new(true, 3, 2, 1, Some(0.25)),
+            Ok(QueryModel::Pbsfbc(pro))
+        );
+        assert_eq!(
+            QueryModel::new(true, 0, 2, 1, None),
+            Err(ParamError::AlphaZero)
+        );
+        assert_eq!(
+            QueryModel::new(false, 3, 2, 1, Some(0.6)),
+            Err(ParamError::ThetaOutOfRange(0.6))
+        );
 
         let g = random_uniform(10, 10, 50, 2, 2, 9);
         let p = PreparedQuery::prepare(

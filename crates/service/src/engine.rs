@@ -689,23 +689,16 @@ impl Engine {
         };
 
         let te = Instant::now();
-        let (count, payload, stop) = match opts.mode {
-            EnumMode::Collect => {
-                let report = plan.execute_rec(&cfg, rec);
-                let lines = report.bicliques.iter().map(|b| b.to_string()).collect();
-                (report.stats.emitted, lines, report.truncated_by)
-            }
-            EnumMode::Count => {
-                let report = plan.count_rec(&cfg, rec);
-                (report.stats.emitted, Vec::new(), report.truncated_by)
-            }
-            EnumMode::Maximum(metric) => {
-                let (best, stats) = plan.maximum_rec(metric, &cfg, rec);
-                let lines: Vec<String> = best.iter().map(|b| b.to_string()).collect();
-                (lines.len() as u64, lines, stats.stop)
-            }
-        };
+        let report = plan.run(opts.mode.into(), &cfg, rec);
+        let payload = report.bicliques.iter().map(|b| b.to_string()).collect();
         self.metrics.stage_enumerate.observe(te.elapsed());
+        // A maximum query counts the result it returns, not the
+        // candidates it ranked.
+        let count = match opts.mode {
+            EnumMode::Maximum(_) => report.bicliques.len() as u64,
+            _ => report.stats.emitted,
+        };
+        let stop = report.truncated_by;
 
         let mut reply = Reply::ok(self.status_line(graph, model, opts, count, cached, stop, t0));
         reply.payload = payload;

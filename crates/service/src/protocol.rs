@@ -71,9 +71,9 @@
 //! catches the panic ([`crate::engine`]), answers the offending
 //! request with the error, and keeps serving every other connection.
 
-use fair_biclique::config::{FairParams, ProParams, Substrate};
+use fair_biclique::config::Substrate;
 use fair_biclique::maximum::SizeMetric;
-use fair_biclique::prepared::QueryModel;
+use fair_biclique::prepared::{Mode, QueryModel};
 use fbe_datasets::corpus::Dataset;
 use std::io::Write;
 use std::time::Duration;
@@ -93,6 +93,16 @@ pub enum EnumMode {
     Count,
     /// Return the single largest result under a metric.
     Maximum(SizeMetric),
+}
+
+impl From<EnumMode> for Mode {
+    fn from(mode: EnumMode) -> Mode {
+        match mode {
+            EnumMode::Collect => Mode::Collect,
+            EnumMode::Count => Mode::Count,
+            EnumMode::Maximum(metric) => Mode::Max(metric),
+        }
+    }
 }
 
 /// Per-query execution knobs of an `ENUM` request.
@@ -453,25 +463,13 @@ fn parse_enum(graph: &str, model: &str, rest: &[&str]) -> Result<Request, String
     let alpha = alpha.ok_or("alpha= is required")?;
     let beta = beta.ok_or("beta= is required")?;
     let delta = delta.ok_or("delta= is required")?;
-    let model = if pro {
-        let theta = theta.ok_or("theta= is required for the proportion models")?;
-        let p = ProParams::new(alpha, beta, delta, theta).map_err(|e| e.to_string())?;
-        if bi {
-            QueryModel::Pbsfbc(p)
-        } else {
-            QueryModel::Pssfbc(p)
-        }
-    } else {
-        if theta.is_some() {
-            return Err("theta= is only valid for the proportion models".into());
-        }
-        let p = FairParams::new(alpha, beta, delta).map_err(|e| e.to_string())?;
-        if bi {
-            QueryModel::Bsfbc(p)
-        } else {
-            QueryModel::Ssfbc(p)
-        }
-    };
+    if pro && theta.is_none() {
+        return Err("theta= is required for the proportion models".into());
+    }
+    if !pro && theta.is_some() {
+        return Err("theta= is only valid for the proportion models".into());
+    }
+    let model = QueryModel::new(bi, alpha, beta, delta, theta).map_err(|e| e.to_string())?;
     Ok(Request::Enum {
         graph: graph.to_string(),
         model,
@@ -636,6 +634,7 @@ pub fn parse_request(line: &str) -> Result<Request, Reply> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fair_biclique::config::FairParams;
 
     #[test]
     fn parses_simple_verbs_case_insensitively() {

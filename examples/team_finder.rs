@@ -2,8 +2,9 @@
 //! paper's introduction, end to end — mine the *largest* fair team,
 //! shortlist the top-k, and summarize the whole result space.
 //!
-//! Exercises the extension APIs: [`fair_biclique::maximum`],
-//! [`fair_biclique::biclique::TopKSink`], the parallel engine (via
+//! Exercises the extension APIs: [`fair_biclique::maximum`], the
+//! top-k result mode ([`fair_biclique::prepared::Mode::Top`]), the
+//! parallel engine (via
 //! [`fair_biclique::config::RunConfig::threads`]) and
 //! [`fair_biclique::results`].
 //!
@@ -12,7 +13,6 @@
 //! ```
 
 use fair_biclique::maximum::{max_ssfbc, SizeMetric};
-use fair_biclique::pipeline::run_ssfbc;
 use fair_biclique::prelude::*;
 use fair_biclique::results::{group_by_lower_signature, summarize};
 use fbe_datasets::case_studies::dbda;
@@ -43,17 +43,16 @@ fn main() {
     }
 
     // 2. A top-5 shortlist without materialising every result.
-    let mut top = TopKSink::new(5);
-    run_ssfbc(
-        g,
-        params,
-        fair_biclique::pipeline::SsAlgorithm::FairBcemPP,
+    let model = QueryModel::Ssfbc(params);
+    let plan = PreparedQuery::prepare(g, model, PruneKind::default(), Substrate::Auto);
+    let top = plan.run(
+        Mode::Top(5),
         &RunConfig::default(),
-        &mut top,
+        &mut SpanRecorder::disabled(),
     );
-    let seen = top.seen;
+    let seen = top.stats.emitted;
     println!("top-5 of {seen} fair teams:");
-    for bc in top.into_sorted() {
+    for bc in top.bicliques {
         let (p, s) = (bc.upper.len(), bc.lower.len());
         println!("  {p} papers x {s} scholars: {bc}");
     }

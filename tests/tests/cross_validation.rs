@@ -5,9 +5,8 @@
 use bigraph::{BipartiteGraph, GraphBuilder};
 use fair_biclique::biclique::{Biclique, CollectSink};
 use fair_biclique::config::{Budget, FairParams, ProParams, PruneKind, RunConfig, VertexOrder};
-use fair_biclique::pipeline::{
-    run_bsfbc, run_pbsfbc, run_pssfbc, run_ssfbc, BiAlgorithm, SsAlgorithm,
-};
+use fair_biclique::pipeline::{run_bsfbc, run_ssfbc, BiAlgorithm, SsAlgorithm};
+use fair_biclique::prepared::{PreparedQuery, QueryModel};
 use fair_biclique::verify::{oracle_bsfbc, oracle_pbsfbc, oracle_pssfbc, oracle_ssfbc};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -58,6 +57,14 @@ fn collect_ss(
     set
 }
 
+/// Prepare `model` on `g`, then stream its results into collecting
+/// sinks.
+fn prepared_collect(g: &BipartiteGraph, model: QueryModel, cfg: &RunConfig) -> BTreeSet<Biclique> {
+    let plan = PreparedQuery::prepare(g, model, cfg.prune, cfg.substrate);
+    let (sinks, _) = plan.stream(cfg, &CollectSink::default);
+    sinks.into_iter().flat_map(|s| s.bicliques).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -105,9 +112,7 @@ proptest! {
         let want = oracle_pssfbc(&g, pro);
         for prune in [PruneKind::None, PruneKind::Colorful] {
             let cfg = RunConfig { prune, order: VertexOrder::DegreeDesc, ..RunConfig::default() };
-            let mut sink = CollectSink::default();
-            run_pssfbc(&g, pro, &cfg, &mut sink);
-            let got: BTreeSet<Biclique> = sink.bicliques.into_iter().collect();
+            let got = prepared_collect(&g, QueryModel::Pssfbc(pro), &cfg);
             prop_assert_eq!(&got, &want, "prune {:?}", prune);
         }
     }
@@ -121,9 +126,7 @@ proptest! {
         let pro = ProParams::new(1, 1, d, theta).unwrap();
         let want = oracle_pbsfbc(&g, pro);
         let cfg = RunConfig::default();
-        let mut sink = CollectSink::default();
-        run_pbsfbc(&g, pro, &cfg, &mut sink);
-        let got: BTreeSet<Biclique> = sink.bicliques.into_iter().collect();
+        let got = prepared_collect(&g, QueryModel::Pbsfbc(pro), &cfg);
         prop_assert_eq!(&got, &want);
     }
 
