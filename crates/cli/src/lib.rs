@@ -508,8 +508,9 @@ mod tests {
         })
     }
 
-    /// Digests of `fbe enumerate` / `fbe maximum` stdout, pinned so a
-    /// refactor of how results are gathered cannot change a byte.
+    /// Digests of `fbe enumerate` / `fbe maximum` / `fbe prune` stdout,
+    /// pinned so a refactor of how results are gathered or pruned
+    /// cannot change a byte.
     const PINNED_DIGESTS: &str = "\
 enumerate ss collect t1 7377733bbc477e83
 enumerate ss collect t3 08f06f4d7b186cb5
@@ -563,6 +564,10 @@ maximum edges ss t1 9f60671baaa3a3ab
 maximum edges ss t4 9f60671baaa3a3ab
 maximum edges bi t1 319d217f4450f24a
 maximum edges bi t4 319d217f4450f24a
+prune fcore ss c76d4a17759cebe8
+prune fcore bi b0388419018d417c
+prune colorful ss d8def39b9449c55b
+prune colorful bi 36662649e98cc1ea
 ";
 
     #[test]
@@ -627,6 +632,14 @@ maximum edges bi t4 319d217f4450f24a
                     argv.extend(["--threads", threads]);
                     cases.push((format!("maximum {metric} {model} t{threads}"), argv));
                 }
+            }
+        }
+        for kind in ["fcore", "colorful"] {
+            for (model, model_args) in &models[..2] {
+                let mut argv = vec!["prune", stem_s, "--kind", kind];
+                argv.extend(&params[..4]);
+                argv.extend(*model_args);
+                cases.push((format!("prune {kind} {model}"), argv));
             }
         }
         let got: String = cases

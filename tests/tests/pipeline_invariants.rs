@@ -220,3 +220,99 @@ fn budgeted_search_stats_are_pinned() {
     ];
     assert_eq!(got, want);
 }
+
+/// FNV-1a (64-bit) over a sequence of ids: a digest that stays fixed
+/// across toolchains.
+fn fnv1a_ids(ids: &[u32]) -> u64 {
+    ids.iter()
+        .flat_map(|id| id.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// A seeded graph with 2 upper and 3 lower attribute values, so the
+/// bi-side peel counts more than one value on each side.
+fn three_by_two_graph(seed: u64) -> bigraph::BipartiteGraph {
+    let base = bigraph::generate::random_uniform(36, 42, 300, 2, 3, seed);
+    bigraph::generate::plant_bicliques(&base, 2, 6, 9, 1.0, seed ^ 0xb10c)
+}
+
+/// Every prune kind, single-side and bi-side, keeps the same vertices:
+/// the sizes before and after and a digest of the kept parent ids are
+/// pinned, so a refactor of the peels or the colorful cascade cannot
+/// move a vertex. The single-side and bi-side peels must also agree
+/// where the models coincide.
+#[test]
+fn prune_outcomes_are_pinned() {
+    use fair_biclique::bfcore::{bcfcore, bfcore, bfcore_masks};
+    use fair_biclique::cfcore::cfcore;
+    use fair_biclique::fcore::{fcore, fcore_masks, no_prune};
+    let graphs = [
+        ("medium", medium_graph(3), FairParams::unchecked(2, 2, 1)),
+        ("3x2", three_by_two_graph(5), FairParams::unchecked(2, 2, 1)),
+    ];
+    let mut got = String::new();
+    for (name, g, params) in &graphs {
+        for bi in [false, true] {
+            for kind in [PruneKind::None, PruneKind::FCore, PruneKind::Colorful] {
+                let out = match (kind, bi) {
+                    (PruneKind::None, _) => no_prune(g),
+                    (PruneKind::FCore, false) => fcore(g, *params),
+                    (PruneKind::FCore, true) => bfcore(g, *params),
+                    (PruneKind::Colorful, false) => cfcore(g, *params),
+                    (PruneKind::Colorful, true) => bcfcore(g, *params),
+                };
+                let s = out.stats;
+                got += &format!(
+                    "{name} bi={bi} {kind:?} {}/{}/{} -> {}/{}/{} {:016x} {:016x}\n",
+                    s.upper_before,
+                    s.lower_before,
+                    s.edges_before,
+                    s.upper_after,
+                    s.lower_after,
+                    s.edges_after,
+                    fnv1a_ids(&out.sub.upper_to_parent),
+                    fnv1a_ids(&out.sub.lower_to_parent),
+                );
+            }
+        }
+    }
+    let want = "\
+medium bi=false None 30/36/280 -> 30/36/280 95e32fde1ffdfc34 2599706ba8b4f7a5
+medium bi=false FCore 30/36/280 -> 29/36/273 657f485b09955a4b 2599706ba8b4f7a5
+medium bi=false Colorful 30/36/280 -> 29/34/268 657f485b09955a4b 8601bcaf979c21e2
+medium bi=true None 30/36/280 -> 30/36/280 95e32fde1ffdfc34 2599706ba8b4f7a5
+medium bi=true FCore 30/36/280 -> 25/27/206 01d0cba4fe1d7003 8538966814867c05
+medium bi=true Colorful 30/36/280 -> 8/11/61 2bde8f9e9c5b0d3a 3a2171c6dfb3e1aa
+3x2 bi=false None 36/42/380 -> 36/42/380 2599706ba8b4f7a5 2997afc47d878fb4
+3x2 bi=false FCore 36/42/380 -> 22/42/293 6f48e6dca9ff956d 2997afc47d878fb4
+3x2 bi=false Colorful 36/42/380 -> 20/39/263 1ff23ea280fcdd56 dfe469a6b4a1e425
+3x2 bi=true None 36/42/380 -> 36/42/380 2599706ba8b4f7a5 2997afc47d878fb4
+3x2 bi=true FCore 36/42/380 -> 8/14/84 1eaf39429768aebe 7f3537c09bf20e1e
+3x2 bi=true Colorful 36/42/380 -> 6/9/54 f9783f50b0277e8d 6344155a37fb174e
+";
+    assert_eq!(got, want, "prune outcomes moved:\n{got}");
+
+    // The fair α-β core is the bi-fair α-β core of the same graph with
+    // every upper attribute collapsed to one value: a lower vertex with
+    // ≥ α neighbors of each (single) upper value has degree ≥ α.
+    for seed in 0..6u64 {
+        let g = bigraph::generate::random_uniform(28, 32, 230, 2, 3, seed);
+        let mut b = bigraph::GraphBuilder::new(1, g.n_attr_values(bigraph::Side::Lower));
+        b.ensure_vertices(g.n_upper(), g.n_lower());
+        for (u, v) in g.edges() {
+            b.add_edge(u, v);
+        }
+        b.set_attrs_upper(&vec![0; g.n_upper()]);
+        b.set_attrs_lower(g.attrs(bigraph::Side::Lower));
+        let one_upper = b.build().unwrap();
+        for (alpha, beta) in [(1, 1), (2, 1), (2, 2), (3, 2), (4, 3)] {
+            assert_eq!(
+                fcore_masks(&g, alpha, beta),
+                bfcore_masks(&one_upper, alpha, beta),
+                "seed {seed} alpha {alpha} beta {beta}"
+            );
+        }
+    }
+}
