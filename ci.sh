@@ -92,16 +92,8 @@ cargo test --offline --manifest-path perfbench/Cargo.toml
 # the smoke steps against the debug profile and skip the bench build
 # so no release compilation happens at all.
 if [[ $quick -eq 0 ]]; then
-    step "cargo bench --no-run (all 16 bench targets must compile)"
+    step "cargo bench --no-run (all 13 bench targets must compile)"
     cargo bench --no-run
-    step "cargo bench --bench parallel_scaling --no-run (engine scaling target)"
-    cargo bench --bench parallel_scaling --no-run
-    step "cargo bench --bench substrate_compare --no-run (substrate target)"
-    cargo bench --bench substrate_compare --no-run
-    step "cargo bench --bench service_throughput --no-run (service QPS target)"
-    cargo bench --bench service_throughput --no-run
-    step "cargo bench --bench shard_scaling --no-run (coordinator scaling target)"
-    cargo bench --bench shard_scaling --no-run
     profile_flag=(--release)
     bindir=target/release
 else

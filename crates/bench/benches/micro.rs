@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use fair_biclique::biclique::CountSink;
 use fair_biclique::config::{Budget, PruneKind, RunConfig, VertexOrder};
 use fair_biclique::fairset::max_fair_subsets;
-use fair_biclique::pipeline::{prune_single_side, run_ssfbc, SsAlgorithm};
+use fair_biclique::pipeline::{prune, run_ssfbc, SsAlgorithm};
 use fbe_datasets::corpus::{spec, Dataset, DatasetSpec};
 use std::hint::black_box;
 
@@ -65,7 +65,7 @@ fn bench_primitives(c: &mut Criterion) {
         let g = s.build();
         let params = s.single_params();
         c.bench_function("cfcore_youtube", |bch| {
-            bch.iter(|| prune_single_side(black_box(&g), params, PruneKind::Colorful))
+            bch.iter(|| prune(black_box(&g), params, PruneKind::Colorful, false))
         });
     }
 
@@ -73,7 +73,7 @@ fn bench_primitives(c: &mut Criterion) {
         let s = yt(0xC03);
         let g = s.build();
         let params = s.single_params();
-        let pruned = prune_single_side(&g, params, PruneKind::FCore);
+        let pruned = prune(&g, params, PruneKind::FCore, false);
         c.bench_function("twohop_on_fcore_pruned", |bch| {
             bch.iter(|| {
                 bigraph::twohop::construct_2hop(
@@ -89,7 +89,7 @@ fn bench_primitives(c: &mut Criterion) {
         let s = yt(0xC04);
         let g = s.build();
         let params = s.single_params();
-        let pruned = prune_single_side(&g, params, PruneKind::FCore);
+        let pruned = prune(&g, params, PruneKind::FCore, false);
         let h = bigraph::twohop::construct_2hop(
             &pruned.sub.graph,
             bigraph::Side::Lower,

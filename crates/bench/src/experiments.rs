@@ -13,9 +13,7 @@ use fair_biclique::config::{Budget, FairParams, ProParams, PruneKind, RunConfig,
 use fair_biclique::fcore::PruneOutcome;
 use fair_biclique::mbea::maximal_bicliques;
 use fair_biclique::memory::{measure_bsfbc, measure_ssfbc};
-use fair_biclique::pipeline::{
-    prune_bi_side, prune_single_side, run_bsfbc, run_ssfbc, BiAlgorithm, SsAlgorithm,
-};
+use fair_biclique::pipeline::{prune, run_bsfbc, run_ssfbc, BiAlgorithm, SsAlgorithm};
 use fair_biclique::prepared::{PreparedQuery, QueryModel};
 use fbe_datasets::corpus::{spec, Dataset, DatasetSpec};
 use std::collections::HashMap;
@@ -195,8 +193,8 @@ pub fn exp1_fig3(opts: &Opts) -> Vec<Table> {
     );
     for &a in &range {
         let p = FairParams::unchecked(a, s.default_single.1, s.default_delta);
-        let (f, ft) = timed(|| prune_single_side(&g, p, PruneKind::FCore));
-        let (c, ct) = timed(|| prune_single_side(&g, p, PruneKind::Colorful));
+        let (f, ft) = timed(|| prune(&g, p, PruneKind::FCore, false));
+        let (c, ct) = timed(|| prune(&g, p, PruneKind::Colorful, false));
         let (fn_, fts) = prune_row(&f, ft);
         let (cn, cts) = prune_row(&c, ct);
         nodes_a.push(vec![a.to_string(), fn_, cn]);
@@ -215,8 +213,8 @@ pub fn exp1_fig3(opts: &Opts) -> Vec<Table> {
     );
     for &b in &range {
         let p = FairParams::unchecked(s.default_single.0, b, s.default_delta);
-        let (f, ft) = timed(|| prune_single_side(&g, p, PruneKind::FCore));
-        let (c, ct) = timed(|| prune_single_side(&g, p, PruneKind::Colorful));
+        let (f, ft) = timed(|| prune(&g, p, PruneKind::FCore, false));
+        let (c, ct) = timed(|| prune(&g, p, PruneKind::Colorful, false));
         let (fn_, fts) = prune_row(&f, ft);
         let (cn, cts) = prune_row(&c, ct);
         nodes_b.push(vec![b.to_string(), fn_, cn]);
@@ -256,8 +254,8 @@ pub fn exp1_fig4(opts: &Opts) -> Vec<Table> {
             } else {
                 FairParams::unchecked(s.default_bi.0, x, s.default_delta)
             };
-            let (f, ft) = timed(|| prune_bi_side(&g, p, PruneKind::FCore));
-            let (c, ct) = timed(|| prune_bi_side(&g, p, PruneKind::Colorful));
+            let (f, ft) = timed(|| prune(&g, p, PruneKind::FCore, true));
+            let (c, ct) = timed(|| prune(&g, p, PruneKind::Colorful, true));
             let (fn_, fts) = prune_row(&f, ft);
             let (cn, cts) = prune_row(&c, ct);
             nodes.push(vec![x.to_string(), fn_, cn]);
@@ -477,11 +475,7 @@ pub fn exp4_fig6(opts: &Opts) -> Vec<Table> {
     let count_mbc = |params: FairParams, bi: bool| -> String {
         // Count on the colorful-core-pruned graph (a superset of all
         // fair bicliques' vertices) like the fair counts.
-        let pruned = if bi {
-            prune_bi_side(&g, params, PruneKind::Colorful)
-        } else {
-            prune_single_side(&g, params, PruneKind::Colorful)
-        };
+        let pruned = prune(&g, params, PruneKind::Colorful, bi);
         let (min_l, min_r) = if bi {
             (2 * params.alpha as usize, 2 * params.beta as usize)
         } else {

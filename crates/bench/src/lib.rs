@@ -124,7 +124,7 @@ impl Table {
 /// targets and criterion targets feed one `BENCH_*.json` snapshot
 /// (see `scripts/bench_snapshot.sh`). Failures are reported to
 /// stderr, never fatal.
-pub fn export_json_record(id: &str, fields: &[(&str, f64)]) {
+fn export_json_record(id: &str, fields: &[(&str, f64)]) {
     let Ok(path) = std::env::var("FBE_BENCH_JSON") else {
         return;
     };

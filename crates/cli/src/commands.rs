@@ -11,9 +11,7 @@ use bigraph::{BipartiteGraph, Side};
 use fair_biclique::biclique::EnumStats;
 use fair_biclique::config::{Budget, FairParams, PrepareCtl, RunConfig};
 use fair_biclique::obs::SpanRecorder;
-use fair_biclique::pipeline::{
-    prune_bi_side, prune_single_side, run_bsfbc, run_ssfbc, SsAlgorithm,
-};
+use fair_biclique::pipeline::{run_bsfbc, run_ssfbc, SsAlgorithm};
 use fair_biclique::prepared::{run_serial, Mode, PreparedQuery};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -185,11 +183,7 @@ fn prune(
     kind: fair_biclique::config::PruneKind,
 ) -> Result<String, String> {
     let g = load(source)?;
-    let out = if bi {
-        prune_bi_side(&g, params, kind)
-    } else {
-        prune_single_side(&g, params, kind)
-    };
+    let out = fair_biclique::pipeline::prune(&g, params, kind, bi);
     Ok(format!(
         "{kind:?} ({}): {} -> {} vertices remaining ({} -> {} edges)\n",
         if bi { "bi-side" } else { "single-side" },

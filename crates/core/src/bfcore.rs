@@ -4,7 +4,10 @@
 //! The *bi-fair α-β core* strengthens the fair α-β core symmetrically:
 //! upper vertices need ≥ β neighbors of each lower attribute value *and*
 //! lower vertices need ≥ α neighbors of each upper attribute value.
-//! Every bi-side fair biclique lives inside it (Lemma 3).
+//! Every bi-side fair biclique lives inside it (Lemma 3). The fair α-β
+//! core ([`crate::fcore`]) is the same core with the upper side's
+//! attributes collapsed to one value, so both come from one peel in
+//! `fcore.rs`, selected by `bi`.
 //!
 //! `BCFCore` additionally applies the colorful machinery to **both**
 //! sides, using the bi-side 2-hop projection
@@ -13,9 +16,9 @@
 //! neighbors of *every* opposite attribute value. The upper side is
 //! pruned symmetrically with parameters `(β, α)` swapped.
 
-use crate::cfcore::ego_colorful_core;
+use crate::cfcore::colorful_mask;
 use crate::config::{FairParams, PrepareCtl, StopReason};
-use crate::fcore::{compose, stats_of, PruneOutcome, CTL_PROBE_INTERVAL};
+use crate::fcore::{compose, peel, peel_masks, PruneOutcome};
 use crate::obs::SpanRecorder;
 use bigraph::subgraph::induce;
 use bigraph::twohop::construct_2hop_biside;
@@ -25,122 +28,13 @@ use bigraph::{BipartiteGraph, Side, VertexId};
 ///
 /// Returns `(keep_upper, keep_lower)`.
 pub fn bfcore_masks(g: &BipartiteGraph, alpha: u32, beta: u32) -> (Vec<bool>, Vec<bool>) {
-    bfcore_masks_ctl(g, alpha, beta, &PrepareCtl::UNBOUNDED)
+    peel_masks(g, alpha, beta, true, &PrepareCtl::UNBOUNDED)
         .expect("unbounded prepare is never interrupted")
-}
-
-/// [`bfcore_masks`] with cooperative interruption (probed every
-/// `CTL_PROBE_INTERVAL` peel steps, as in
-/// [`crate::fcore::fcore_masks_ctl`]).
-pub fn bfcore_masks_ctl(
-    g: &BipartiteGraph,
-    alpha: u32,
-    beta: u32,
-    ctl: &PrepareCtl,
-) -> Result<(Vec<bool>, Vec<bool>), StopReason> {
-    if let Some(r) = ctl.interrupted() {
-        return Err(r);
-    }
-    let probe = !ctl.is_unbounded();
-    let n_u = g.n_upper();
-    let n_v = g.n_lower();
-    let na_upper = (g.n_attr_values(Side::Upper) as usize).max(1);
-    let na_lower = (g.n_attr_values(Side::Lower) as usize).max(1);
-    let upper_attrs = g.attrs(Side::Upper);
-    let lower_attrs = g.attrs(Side::Lower);
-
-    // attr degrees of upper vertices over lower attrs, and vice versa.
-    let mut ad_u = vec![0u32; n_u * na_lower];
-    for u in 0..n_u as VertexId {
-        for &v in g.neighbors(Side::Upper, u) {
-            ad_u[u as usize * na_lower + lower_attrs[v as usize] as usize] += 1;
-        }
-    }
-    let mut ad_v = vec![0u32; n_v * na_upper];
-    for v in 0..n_v as VertexId {
-        for &u in g.neighbors(Side::Lower, v) {
-            ad_v[v as usize * na_upper + upper_attrs[u as usize] as usize] += 1;
-        }
-    }
-
-    let mut alive_u = vec![true; n_u];
-    let mut alive_v = vec![true; n_v];
-    let mut stack: Vec<(Side, VertexId)> = Vec::new();
-
-    for u in 0..n_u {
-        if ad_u[u * na_lower..(u + 1) * na_lower]
-            .iter()
-            .any(|&d| d < beta)
-        {
-            alive_u[u] = false;
-            stack.push((Side::Upper, u as VertexId));
-        }
-    }
-    for v in 0..n_v {
-        if ad_v[v * na_upper..(v + 1) * na_upper]
-            .iter()
-            .any(|&d| d < alpha)
-        {
-            alive_v[v] = false;
-            stack.push((Side::Lower, v as VertexId));
-        }
-    }
-
-    let mut steps: u32 = 0;
-    while let Some((side, x)) = stack.pop() {
-        steps = steps.wrapping_add(1);
-        if probe && steps % CTL_PROBE_INTERVAL == 0 {
-            if let Some(r) = ctl.interrupted() {
-                return Err(r);
-            }
-        }
-        match side {
-            Side::Upper => {
-                let a = upper_attrs[x as usize] as usize;
-                for &v in g.neighbors(Side::Upper, x) {
-                    if alive_v[v as usize] {
-                        let s = v as usize * na_upper + a;
-                        ad_v[s] -= 1;
-                        if ad_v[s] < alpha {
-                            alive_v[v as usize] = false;
-                            stack.push((Side::Lower, v));
-                        }
-                    }
-                }
-            }
-            Side::Lower => {
-                let a = lower_attrs[x as usize] as usize;
-                for &u in g.neighbors(Side::Lower, x) {
-                    if alive_u[u as usize] {
-                        let s = u as usize * na_lower + a;
-                        ad_u[s] -= 1;
-                        if ad_u[s] < beta {
-                            alive_u[u as usize] = false;
-                            stack.push((Side::Upper, u));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok((alive_u, alive_v))
 }
 
 /// `BFCore`: peel to the bi-fair α-β core and compact.
 pub fn bfcore(g: &BipartiteGraph, params: FairParams) -> PruneOutcome {
-    bfcore_ctl(g, params, &PrepareCtl::UNBOUNDED).expect("unbounded prepare is never interrupted")
-}
-
-/// [`bfcore`] with cooperative interruption.
-pub fn bfcore_ctl(
-    g: &BipartiteGraph,
-    params: FairParams,
-    ctl: &PrepareCtl,
-) -> Result<PruneOutcome, StopReason> {
-    let (ku, kv) = bfcore_masks_ctl(g, params.alpha, params.beta, ctl)?;
-    let sub = induce(g, &ku, &kv);
-    let stats = stats_of(g, &sub);
-    Ok(PruneOutcome { sub, stats })
+    peel(g, params, true, &PrepareCtl::UNBOUNDED).expect("unbounded prepare is never interrupted")
 }
 
 /// `BCFCore`: bi-colorful fair α-β core pruning.
@@ -165,23 +59,29 @@ pub fn bcfcore(g: &BipartiteGraph, params: FairParams) -> PruneOutcome {
 /// of the cascade); the recorder attributes wall time to the stages
 /// (`core-peel`, `colorful-lower`, `colorful-upper`, `re-peel`). A
 /// disabled recorder reads no clock and allocates nothing.
-pub fn bcfcore_rec(
+pub(crate) fn bcfcore_rec(
     g: &BipartiteGraph,
     params: FairParams,
     ctl: &PrepareCtl,
     rec: &mut SpanRecorder,
 ) -> Result<PruneOutcome, StopReason> {
     // Stage 1: bi-fair core.
-    let s1 = rec.timed("core-peel", || bfcore_ctl(g, params, ctl))?;
+    let s1 = rec.timed("core-peel", || peel(g, params, true, ctl))?;
     let g1 = &s1.sub.graph;
     if let Some(r) = ctl.interrupted() {
         return Err(r);
     }
 
-    // Stage 2: colorful pruning of the lower (fair-β) side.
+    // Stage 2: colorful pruning of the lower (fair-β) side: bi-side
+    // 2-hop projection with common-neighbor threshold α per upper
+    // attribute value, then the ego colorful β-core.
     let s2 = rec.timed("colorful-lower", || {
-        let keep_lower = biside_colorful_mask(g1, Side::Lower, params.alpha, params.beta);
-        induce(g1, &vec![true; g1.n_upper()], &keep_lower)
+        let h = construct_2hop_biside(g1, Side::Lower, params.alpha as usize);
+        induce(
+            g1,
+            &vec![true; g1.n_upper()],
+            &colorful_mask(&h, params.beta),
+        )
     });
     let g2 = &s2.graph;
     if let Some(r) = ctl.interrupted() {
@@ -192,37 +92,19 @@ pub fn bcfcore_rec(
     // (two upper vertices must share >= beta common neighbors of every
     // lower attribute; the fair clique needs alpha per upper attr).
     let s3 = rec.timed("colorful-upper", || {
-        let keep_upper = biside_colorful_mask(g2, Side::Upper, params.beta, params.alpha);
-        induce(g2, &keep_upper, &vec![true; g2.n_lower()])
+        let h = construct_2hop_biside(g2, Side::Upper, params.beta as usize);
+        induce(
+            g2,
+            &colorful_mask(&h, params.alpha),
+            &vec![true; g2.n_lower()],
+        )
     });
 
     // Stage 4: final bi-fair core.
-    let s4 = rec.timed("re-peel", || bfcore_ctl(&s3.graph, params, ctl))?;
+    let s4 = rec.timed("re-peel", || peel(&s3.graph, params, true, ctl))?;
 
     let total = compose(&s1.sub, compose(&s2, compose(&s3, s4.sub)));
-    let stats = stats_of(g, &total);
-    Ok(PruneOutcome { sub: total, stats })
-}
-
-/// Colorful mask of one side: bi-side 2-hop projection with common-
-/// neighbor threshold `common_k` per opposite attribute value, degree
-/// filter `A_n·core_k − 1`, then ego colorful `core_k`-core.
-fn biside_colorful_mask(g: &BipartiteGraph, side: Side, common_k: u32, core_k: u32) -> Vec<bool> {
-    let h = construct_2hop_biside(g, side, common_k as usize);
-    let n_attrs = g.n_attr_values(side) as i64;
-    let deg_thresh = n_attrs * core_k as i64 - 1;
-    let keep_deg: Vec<bool> = (0..h.n() as VertexId)
-        .map(|v| h.degree(v) as i64 >= deg_thresh)
-        .collect();
-    let (h2, map2) = h.induce(&keep_deg);
-    let ego_alive = ego_colorful_core(&h2, core_k);
-    let mut keep = vec![false; g.n(side)];
-    for (i, &old) in map2.iter().enumerate() {
-        if ego_alive[i] {
-            keep[old as usize] = true;
-        }
-    }
-    keep
+    Ok(PruneOutcome::of(g, total))
 }
 
 /// Test helper: does the kept subgraph satisfy the bi-fair core

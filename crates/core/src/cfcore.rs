@@ -24,7 +24,7 @@
 //! original.
 
 use crate::config::{FairParams, PrepareCtl, StopReason};
-use crate::fcore::{compose, fcore_ctl, stats_of, PruneOutcome};
+use crate::fcore::{compose, peel, PruneOutcome};
 use crate::obs::SpanRecorder;
 use bigraph::coloring::greedy_color_by_degree;
 use bigraph::subgraph::induce;
@@ -104,6 +104,27 @@ pub fn ego_colorful_core(h: &UniGraph, k: u32) -> Vec<bool> {
     alive
 }
 
+/// Lemma 2 on a 2-hop projection `h` of one side: a fair clique has
+/// at least `A_n·k` vertices, so each member needs `≥ A_n·k − 1`
+/// neighbors in `h`. Drop the vertices below that, peel the rest to
+/// the ego colorful `k`-core, and return the survivors as a mask over
+/// `h`'s vertices (the side's vertex ids).
+pub(crate) fn colorful_mask(h: &UniGraph, k: u32) -> Vec<bool> {
+    let deg_thresh = h.n_attr_values() as i64 * k as i64 - 1;
+    let keep_deg: Vec<bool> = (0..h.n() as VertexId)
+        .map(|v| h.degree(v) as i64 >= deg_thresh)
+        .collect();
+    let (h2, map2) = h.induce(&keep_deg);
+    let alive = ego_colorful_core(&h2, k);
+    let mut keep = vec![false; h.n()];
+    for (i, &old) in map2.iter().enumerate() {
+        if alive[i] {
+            keep[old as usize] = true;
+        }
+    }
+    keep
+}
+
 /// `CFCore` (Algorithm 2): colorful fair α-β core pruning for the
 /// single-side model.
 pub fn cfcore(g: &BipartiteGraph, params: FairParams) -> PruneOutcome {
@@ -124,16 +145,15 @@ pub fn cfcore(g: &BipartiteGraph, params: FairParams) -> PruneOutcome {
 /// (`2hop`), the degree filter + ego colorful core (`ego-core`), and
 /// the final re-peel (`re-peel`) each become one span; a disabled
 /// recorder reads no clock and allocates nothing.
-pub fn cfcore_rec(
+pub(crate) fn cfcore_rec(
     g: &BipartiteGraph,
     params: FairParams,
     ctl: &PrepareCtl,
     rec: &mut SpanRecorder,
 ) -> Result<PruneOutcome, StopReason> {
     // Stage 1: fair α-β core.
-    let s1 = rec.timed("core-peel", || fcore_ctl(g, params, ctl))?;
+    let s1 = rec.timed("core-peel", || peel(g, params, false, ctl))?;
     let g1 = &s1.sub.graph;
-    let n_attrs = g1.n_attr_values(Side::Lower) as i64;
     if let Some(r) = ctl.interrupted() {
         return Err(r);
     }
@@ -152,37 +172,20 @@ pub fn cfcore_rec(
         return Err(r);
     }
 
-    // Stages 3+4: fair cliques have >= A_n * beta vertices, so each
-    // member needs >= A_n * beta - 1 neighbors in H; then peel the
-    // reduced 2-hop graph to its ego colorful beta-core.
-    let (h2_map, ego_alive) = rec.timed("ego-core", || {
-        let deg_thresh = n_attrs * params.beta as i64 - 1;
-        let keep_deg: Vec<bool> = (0..h.n() as VertexId)
-            .map(|v| h.degree(v) as i64 >= deg_thresh)
-            .collect();
-        let (h2, h2_map) = h.induce(&keep_deg);
-        (h2_map, ego_colorful_core(&h2, params.beta))
-    });
+    // Stages 3+4: degree filter and ego colorful β-core.
+    let keep_lower = rec.timed("ego-core", || colorful_mask(&h, params.beta));
     if let Some(r) = ctl.interrupted() {
         return Err(r);
     }
 
-    // Stage 5: project survivors back to the bipartite graph and
-    // re-run FCore.
+    // Stage 5: remove the peeled fair-side vertices from the bipartite
+    // graph and re-run FCore.
     let (s2, s3) = rec.timed("re-peel", || {
-        let mut keep_lower = vec![false; g1.n_lower()];
-        for (i, &old) in h2_map.iter().enumerate() {
-            if ego_alive[i] {
-                keep_lower[old as usize] = true;
-            }
-        }
         let s2 = induce(g1, &vec![true; g1.n_upper()], &keep_lower);
-        fcore_ctl(&s2.graph, params, ctl).map(|s3| (s2, s3))
+        peel(&s2.graph, params, false, ctl).map(|s3| (s2, s3))
     })?;
 
-    let total = compose(&s1.sub, compose(&s2, s3.sub));
-    let stats = stats_of(g, &total);
-    Ok(PruneOutcome { sub: total, stats })
+    Ok(PruneOutcome::of(g, compose(&s1.sub, compose(&s2, s3.sub))))
 }
 
 #[cfg(test)]

@@ -6,6 +6,12 @@
 //! By Lemma 1 every single-side fair biclique lives inside it, so
 //! peeling everything else is lossless.
 //!
+//! The fair α-β core is the bi-fair α-β core ([`crate::bfcore`],
+//! Definition 13) with the upper side's attributes collapsed to one
+//! value: a lower vertex with ≥ α neighbors of each (single) upper
+//! value simply has degree ≥ α. So both cores come from one peel,
+//! `peel_masks`, which takes `bi: bool`.
+//!
 //! Peeling is the classic Batagelj–Zaversnik core decomposition adapted
 //! to attribute degrees: initialize degrees, queue violators, cascade.
 //! `O(|E| + |V|)` time, `O(|U|·A_n^V + |V|)` space.
@@ -18,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// How many peel steps run between two [`PrepareCtl::interrupted`]
 /// probes inside the cascades. Each step touches one adjacency list, so
 /// this keeps probe overhead well under 1% while bounding overshoot.
-pub(crate) const CTL_PROBE_INTERVAL: u32 = 4096;
+const CTL_PROBE_INTERVAL: u32 = 4096;
 
 /// Before/after sizes of a pruning stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -59,14 +65,18 @@ pub struct PruneOutcome {
     pub stats: PruneStats,
 }
 
-pub(crate) fn stats_of(g: &BipartiteGraph, sub: &InducedSubgraph) -> PruneStats {
-    PruneStats {
-        upper_before: g.n_upper(),
-        lower_before: g.n_lower(),
-        edges_before: g.n_edges(),
-        upper_after: sub.graph.n_upper(),
-        lower_after: sub.graph.n_lower(),
-        edges_after: sub.graph.n_edges(),
+impl PruneOutcome {
+    /// Wrap `sub`, induced from `parent`, with its size statistics.
+    pub(crate) fn of(parent: &BipartiteGraph, sub: InducedSubgraph) -> PruneOutcome {
+        let stats = PruneStats {
+            upper_before: parent.n_upper(),
+            lower_before: parent.n_lower(),
+            edges_before: parent.n_edges(),
+            upper_after: sub.graph.n_upper(),
+            lower_after: sub.graph.n_lower(),
+            edges_after: sub.graph.n_edges(),
+        };
+        PruneOutcome { sub, stats }
     }
 }
 
@@ -91,9 +101,10 @@ pub(crate) fn compose(outer: &InducedSubgraph, inner: InducedSubgraph) -> Induce
 
 /// The identity "pruning" (`PruneKind::None`): the whole graph.
 pub fn no_prune(g: &BipartiteGraph) -> PruneOutcome {
-    let sub = induce(g, &vec![true; g.n_upper()], &vec![true; g.n_lower()]);
-    let stats = stats_of(g, &sub);
-    PruneOutcome { sub, stats }
+    PruneOutcome::of(
+        g,
+        induce(g, &vec![true; g.n_upper()], &vec![true; g.n_lower()]),
+    )
 }
 
 /// Compute fair α-β core membership masks (Algorithm 1) without
@@ -101,17 +112,28 @@ pub fn no_prune(g: &BipartiteGraph) -> PruneOutcome {
 ///
 /// Returns `(keep_upper, keep_lower)`.
 pub fn fcore_masks(g: &BipartiteGraph, alpha: u32, beta: u32) -> (Vec<bool>, Vec<bool>) {
-    fcore_masks_ctl(g, alpha, beta, &PrepareCtl::UNBOUNDED)
+    peel_masks(g, alpha, beta, false, &PrepareCtl::UNBOUNDED)
         .expect("unbounded prepare is never interrupted")
 }
 
-/// [`fcore_masks`] with cooperative interruption: probes `ctl` every
-/// `CTL_PROBE_INTERVAL` peel steps and aborts with the interrupting
-/// [`StopReason`]. A default (unbounded) `ctl` adds no per-step work.
-pub fn fcore_masks_ctl(
+/// `FCore` (Algorithm 1): peel to the fair α-β core and compact.
+pub fn fcore(g: &BipartiteGraph, params: FairParams) -> PruneOutcome {
+    peel(g, params, false, &PrepareCtl::UNBOUNDED).expect("unbounded prepare is never interrupted")
+}
+
+/// The one core peel: membership masks `(keep_upper, keep_lower)` of
+/// the bi-fair α-β core (`bi`) or of the fair α-β core, which is the
+/// bi-fair core with the upper side's attributes collapsed to one
+/// value (index 0).
+///
+/// Probes `ctl` every `CTL_PROBE_INTERVAL` peel steps and aborts with
+/// the interrupting [`StopReason`]; an unbounded `ctl` adds no
+/// per-step work.
+pub(crate) fn peel_masks(
     g: &BipartiteGraph,
     alpha: u32,
     beta: u32,
+    bi: bool,
     ctl: &PrepareCtl,
 ) -> Result<(Vec<bool>, Vec<bool>), StopReason> {
     if let Some(r) = ctl.interrupted() {
@@ -120,41 +142,61 @@ pub fn fcore_masks_ctl(
     let probe = !ctl.is_unbounded();
     let n_u = g.n_upper();
     let n_v = g.n_lower();
-    let n_attrs = (g.n_attr_values(Side::Lower) as usize).max(1);
+    let na_upper = if bi {
+        (g.n_attr_values(Side::Upper) as usize).max(1)
+    } else {
+        1
+    };
+    let na_lower = (g.n_attr_values(Side::Lower) as usize).max(1);
+    let upper_attrs = g.attrs(Side::Upper);
     let lower_attrs = g.attrs(Side::Lower);
+    let upper_attr = |u: VertexId| {
+        if bi {
+            upper_attrs[u as usize] as usize
+        } else {
+            0
+        }
+    };
 
-    // Attribute degrees of upper vertices, flattened [u * n_attrs + a].
-    let mut attr_deg = vec![0u32; n_u * n_attrs];
+    // Attribute degrees of upper vertices over lower attrs, and vice
+    // versa; with one upper value a lower vertex's count is its degree.
+    let mut ad_u = vec![0u32; n_u * na_lower];
     for u in 0..n_u as VertexId {
         for &v in g.neighbors(Side::Upper, u) {
-            attr_deg[u as usize * n_attrs + lower_attrs[v as usize] as usize] += 1;
+            ad_u[u as usize * na_lower + lower_attrs[v as usize] as usize] += 1;
         }
     }
-    // Plain degrees of lower vertices.
-    let mut deg: Vec<u32> = (0..n_v as VertexId)
-        .map(|v| g.degree(Side::Lower, v) as u32)
-        .collect();
+    let mut ad_v = vec![0u32; n_v * na_upper];
+    for v in 0..n_v as VertexId {
+        let nbrs = g.neighbors(Side::Lower, v);
+        if bi {
+            for &u in nbrs {
+                ad_v[v as usize * na_upper + upper_attr(u)] += 1;
+            }
+        } else {
+            ad_v[v as usize] = nbrs.len() as u32;
+        }
+    }
 
     let mut alive_u = vec![true; n_u];
     let mut alive_v = vec![true; n_v];
     // Work stack of removed vertices awaiting neighbor updates.
     let mut stack: Vec<(Side, VertexId)> = Vec::new();
 
-    let upper_ok = |attr_deg: &[u32], u: usize| -> bool {
-        attr_deg[u * n_attrs..(u + 1) * n_attrs]
-            .iter()
-            .all(|&d| d >= beta)
-    };
-
-    #[allow(clippy::needless_range_loop)]
     for u in 0..n_u {
-        if !upper_ok(&attr_deg, u) {
+        if ad_u[u * na_lower..(u + 1) * na_lower]
+            .iter()
+            .any(|&d| d < beta)
+        {
             alive_u[u] = false;
             stack.push((Side::Upper, u as VertexId));
         }
     }
-    for (v, &d) in deg.iter().enumerate() {
-        if d < alpha {
+    for v in 0..n_v {
+        if ad_v[v * na_upper..(v + 1) * na_upper]
+            .iter()
+            .any(|&d| d < alpha)
+        {
             alive_v[v] = false;
             stack.push((Side::Lower, v as VertexId));
         }
@@ -170,11 +212,14 @@ pub fn fcore_masks_ctl(
         }
         match side {
             Side::Upper => {
-                // Removing upper x lowers the degree of its lower neighbors.
+                // Removing upper x lowers one attribute degree of its
+                // lower neighbors.
+                let a = upper_attr(x);
                 for &v in g.neighbors(Side::Upper, x) {
                     if alive_v[v as usize] {
-                        deg[v as usize] -= 1;
-                        if deg[v as usize] < alpha {
+                        let s = v as usize * na_upper + a;
+                        ad_v[s] -= 1;
+                        if ad_v[s] < alpha {
                             alive_v[v as usize] = false;
                             stack.push((Side::Lower, v));
                         }
@@ -182,14 +227,12 @@ pub fn fcore_masks_ctl(
                 }
             }
             Side::Lower => {
-                // Removing lower x lowers one attribute degree of its
-                // upper neighbors.
                 let a = lower_attrs[x as usize] as usize;
                 for &u in g.neighbors(Side::Lower, x) {
                     if alive_u[u as usize] {
-                        let slot = u as usize * n_attrs + a;
-                        attr_deg[slot] -= 1;
-                        if attr_deg[slot] < beta {
+                        let s = u as usize * na_lower + a;
+                        ad_u[s] -= 1;
+                        if ad_u[s] < beta {
                             alive_u[u as usize] = false;
                             stack.push((Side::Upper, u));
                         }
@@ -198,25 +241,19 @@ pub fn fcore_masks_ctl(
             }
         }
     }
-
     Ok((alive_u, alive_v))
 }
 
-/// `FCore` (Algorithm 1): peel to the fair α-β core and compact.
-pub fn fcore(g: &BipartiteGraph, params: FairParams) -> PruneOutcome {
-    fcore_ctl(g, params, &PrepareCtl::UNBOUNDED).expect("unbounded prepare is never interrupted")
-}
-
-/// [`fcore`] with cooperative interruption (see [`fcore_masks_ctl`]).
-pub fn fcore_ctl(
+/// [`peel_masks`] compacted into a [`PruneOutcome`]: `BFCore` with
+/// `bi`, `FCore` without.
+pub(crate) fn peel(
     g: &BipartiteGraph,
     params: FairParams,
+    bi: bool,
     ctl: &PrepareCtl,
 ) -> Result<PruneOutcome, StopReason> {
-    let (ku, kv) = fcore_masks_ctl(g, params.alpha, params.beta, ctl)?;
-    let sub = induce(g, &ku, &kv);
-    let stats = stats_of(g, &sub);
-    Ok(PruneOutcome { sub, stats })
+    let (ku, kv) = peel_masks(g, params.alpha, params.beta, bi, ctl)?;
+    Ok(PruneOutcome::of(g, induce(g, &ku, &kv)))
 }
 
 /// Check that `(keep_upper, keep_lower)` induce a subgraph satisfying

@@ -74,7 +74,7 @@ pub fn measure_ssfbc(
     algo: SsAlgorithm,
     cfg: &RunConfig,
 ) -> MemoryReport {
-    let pruned = crate::pipeline::prune_single_side(g, params, cfg.prune);
+    let pruned = crate::pipeline::prune(g, params, cfg.prune, false);
     let (twohop_bytes, colorful_tables_bytes) = if cfg.prune == PruneKind::Colorful {
         colorful_cost(&pruned.sub.graph, params.alpha, false)
     } else {
@@ -106,7 +106,7 @@ pub fn measure_bsfbc(
     algo: BiAlgorithm,
     cfg: &RunConfig,
 ) -> MemoryReport {
-    let pruned = crate::pipeline::prune_bi_side(g, params, cfg.prune);
+    let pruned = crate::pipeline::prune(g, params, cfg.prune, true);
     let (twohop_bytes, colorful_tables_bytes) = if cfg.prune == PruneKind::Colorful {
         colorful_cost(&pruned.sub.graph, params.alpha, true)
     } else {

@@ -5,13 +5,13 @@
 //! translate results back to the caller's vertex ids.
 
 use crate::bfairbcem::bfairbcem_on_pruned_with;
-use crate::bfcore::{bcfcore_rec, bfcore_ctl};
+use crate::bfcore::bcfcore_rec;
 use crate::biclique::{Biclique, BicliqueSink, EnumStats, MappingSink};
 use crate::cfcore::cfcore_rec;
 use crate::config::{FairParams, PrepareCtl, ProParams, PruneKind, RunConfig, StopReason};
 use crate::expansion::walk_on_pruned;
 use crate::fairbcem::fairbcem_on_pruned;
-use crate::fcore::{fcore_ctl, no_prune, PruneOutcome, PruneStats};
+use crate::fcore::{no_prune, peel, PruneOutcome, PruneStats};
 use crate::naive::{bnsf_on_pruned, nsf_on_pruned};
 use crate::obs::SpanRecorder;
 use crate::prepared::QueryModel;
@@ -74,63 +74,39 @@ pub struct RunReport {
     pub enumerate_elapsed: std::time::Duration,
 }
 
-/// Run the pruning stage configured for a single-side problem.
-pub fn prune_single_side(g: &BipartiteGraph, params: FairParams, kind: PruneKind) -> PruneOutcome {
-    prune_single_side_rec(
+/// Run the pruning stage `kind` for a single-side problem, or with
+/// `bi` for a bi-side one (`FCore` maps to `BFCore`, `Colorful` to
+/// `BCFCore`).
+pub fn prune(g: &BipartiteGraph, params: FairParams, kind: PruneKind, bi: bool) -> PruneOutcome {
+    prune_rec(
         g,
         params,
         kind,
+        bi,
         &PrepareCtl::UNBOUNDED,
         &mut SpanRecorder::disabled(),
     )
     .expect("unbounded prepare is never interrupted")
 }
 
-/// [`prune_single_side`] with cooperative interruption and a
-/// [`SpanRecorder`]: the prune cascade probes `ctl` at stage
-/// boundaries and (counter-gated) inside the peel loops, aborting with
-/// the interrupting [`StopReason`], and the recorder attributes wall
-/// time to the prune stages.
-pub fn prune_single_side_rec(
+/// [`prune`] with cooperative interruption and a [`SpanRecorder`]:
+/// the prune cascade probes `ctl` at stage boundaries and
+/// (counter-gated) inside the peel loops, aborting with the
+/// interrupting [`StopReason`], and the recorder attributes wall time
+/// to the prune stages.
+pub fn prune_rec(
     g: &BipartiteGraph,
     params: FairParams,
     kind: PruneKind,
+    bi: bool,
     ctl: &PrepareCtl,
     rec: &mut SpanRecorder,
 ) -> Result<PruneOutcome, StopReason> {
     match kind {
         PruneKind::None => Ok(no_prune(g)),
-        PruneKind::FCore => rec.timed("core-peel", || fcore_ctl(g, params, ctl)),
+        PruneKind::FCore => rec.timed("core-peel", || peel(g, params, bi, ctl)),
+        PruneKind::Colorful if bi => bcfcore_rec(g, params, ctl, rec),
         PruneKind::Colorful => cfcore_rec(g, params, ctl, rec),
-    }
-}
-
-/// Run the pruning stage configured for a bi-side problem
-/// (`FCore` maps to `BFCore`, `Colorful` to `BCFCore`).
-pub fn prune_bi_side(g: &BipartiteGraph, params: FairParams, kind: PruneKind) -> PruneOutcome {
-    prune_bi_side_rec(
-        g,
-        params,
-        kind,
-        &PrepareCtl::UNBOUNDED,
-        &mut SpanRecorder::disabled(),
-    )
-    .expect("unbounded prepare is never interrupted")
-}
-
-/// [`prune_bi_side`] with cooperative interruption and a
-/// [`SpanRecorder`] (see [`prune_single_side_rec`]).
-pub fn prune_bi_side_rec(
-    g: &BipartiteGraph,
-    params: FairParams,
-    kind: PruneKind,
-    ctl: &PrepareCtl,
-    rec: &mut SpanRecorder,
-) -> Result<PruneOutcome, StopReason> {
-    match kind {
-        PruneKind::None => Ok(no_prune(g)),
-        PruneKind::FCore => rec.timed("core-peel", || bfcore_ctl(g, params, ctl)),
-        PruneKind::Colorful => bcfcore_rec(g, params, ctl, rec),
     }
 }
 
@@ -143,7 +119,7 @@ pub fn run_ssfbc(
     cfg: &RunConfig,
     sink: &mut dyn BicliqueSink,
 ) -> (PruneStats, EnumStats) {
-    let pruned = prune_single_side(g, params, cfg.prune);
+    let pruned = prune(g, params, cfg.prune, false);
     let mut mapped = MappingSink::new(
         &pruned.sub.upper_to_parent,
         &pruned.sub.lower_to_parent,
@@ -184,7 +160,7 @@ pub fn run_bsfbc(
     cfg: &RunConfig,
     sink: &mut dyn BicliqueSink,
 ) -> (PruneStats, EnumStats) {
-    let pruned = prune_bi_side(g, params, cfg.prune);
+    let pruned = prune(g, params, cfg.prune, true);
     let mut mapped = MappingSink::new(
         &pruned.sub.upper_to_parent,
         &pruned.sub.lower_to_parent,

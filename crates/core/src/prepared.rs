@@ -37,7 +37,7 @@ use crate::fcore::{PruneOutcome, PruneStats};
 use crate::maximum::{MaxSink, SizeMetric};
 use crate::obs::SpanRecorder;
 use crate::parallel::parallel_walk;
-use crate::pipeline::{prune_bi_side_rec, prune_single_side_rec, RunReport};
+use crate::pipeline::{prune_rec, RunReport};
 use bigraph::candidate::CandidatePlan;
 use bigraph::{BipartiteGraph, VertexId};
 use std::time::{Duration, Instant};
@@ -190,12 +190,7 @@ impl PreparedQuery {
     ) -> Result<PreparedQuery, StopReason> {
         rec.scope("prepare", |rec| {
             let t0 = Instant::now();
-            let params = model.base();
-            let mut pruned = if model.is_bi_side() {
-                prune_bi_side_rec(g, params, prune, ctl, rec)?
-            } else {
-                prune_single_side_rec(g, params, prune, ctl, rec)?
-            };
+            let mut pruned = prune_rec(g, model.base(), prune, model.is_bi_side(), ctl, rec)?;
             if let Some(r) = ctl.interrupted() {
                 return Err(r);
             }

@@ -3,9 +3,8 @@
 #
 #   ./scripts/bench_snapshot.sh 6        # writes BENCH_6.json
 #
-# Runs the six trajectory bench targets (micro, substrate_compare,
-# parallel_scaling, service_throughput, update_throughput,
-# shard_scaling) in release mode with the
+# Runs the trajectory bench targets (the `targets` list below, the one
+# place they are named) in release mode with the
 # vendored criterion stand-in's FBE_BENCH_JSON export enabled, then
 # assembles one JSON document with machine/thread metadata. Medians
 # are the headline statistic; mean/min ride along for context.
@@ -29,7 +28,7 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 runs="${FBE_BENCH_RUNS:-3}"
-targets=(micro substrate_compare parallel_scaling service_throughput update_throughput shard_scaling)
+targets=(micro substrate_compare parallel_scaling)
 for r in $(seq 1 "$runs"); do
     for t in "${targets[@]}"; do
         echo "== bench $t (run $r/$runs) =="
@@ -37,7 +36,8 @@ for r in $(seq 1 "$runs"); do
     done
 done
 
-SNAPSHOT_N="$n" TMPDIR_NDJSON="$tmp" OUT="$out" RUNS="$runs" python3 - <<'EOF'
+SNAPSHOT_N="$n" TMPDIR_NDJSON="$tmp" OUT="$out" RUNS="$runs" TARGETS="${targets[*]}" \
+    python3 - <<'EOF'
 import json, os, platform, subprocess
 from statistics import median
 
@@ -57,7 +57,7 @@ doc = {
                                 capture_output=True, text=True).stdout.strip(),
     },
     "statistic": ("criterion rows: median_ns headline (mean_ns/min_ns for context); "
-                  "table rows: the harness's native columns (seconds / q/s); "
+                  "table rows: the harness's native columns; "
                   f"every numeric field is the median across {runs} target runs"),
     "runs": runs,
     "benches": {},
@@ -74,8 +74,7 @@ def load(path):
     return rows
 
 
-for t in ["micro", "substrate_compare", "parallel_scaling", "service_throughput",
-          "update_throughput", "shard_scaling"]:
+for t in os.environ["TARGETS"].split():
     per_run = [load(os.path.join(tmp, f"{t}.{r}.ndjson")) for r in range(1, runs + 1)]
     # Merge by case id: numeric fields take the cross-run median
     # (min_ns keeps the overall min), everything else the first run's
