@@ -247,6 +247,77 @@ fn killed_shard_answers_err_shard_within_the_deadline() {
     }
 }
 
+/// The coordinator's `ENUM` bookkeeping, pinned per result mode: the
+/// status fields and their order, the traced `# span` names, one
+/// slow-log entry per query (raw line, `epoch=0`: the coordinator holds
+/// no catalog), and a latency histogram that counts exactly the `OK`
+/// queries.
+#[test]
+fn coordinator_enum_bookkeeping_is_pinned_per_mode() {
+    let (coord, _shards, handles) = start_fleet(2);
+    let mut cc = Client::connect(&coord);
+    cc.ok("GEN g uniform:30,30,55,11");
+    let (status, _) = cc.ok("TRACE on");
+    assert_eq!(status, "OK trace=on");
+
+    let base = ["model", "graph", "count", "shards", "threads", "elapsed_us"];
+    let cases: [(&str, bool); 4] = [
+        ("ENUM g ssfbc alpha=1 beta=1 delta=1", false),
+        ("ENUM g ssfbc alpha=1 beta=1 delta=1 count-only", false),
+        ("ENUM g ssfbc alpha=1 beta=1 delta=1 max=vertices", false),
+        ("ENUM g ssfbc alpha=1 beta=1 delta=1 limit=3", true),
+    ];
+    for (q, capped) in cases {
+        let (status, payload) = cc.ok(q);
+        let keys: Vec<&str> = status
+            .split_whitespace()
+            .skip(1)
+            .map(|t| t.split('=').next().unwrap_or(t))
+            .collect();
+        let mut want = base.to_vec();
+        if capped {
+            want.push("truncated");
+        }
+        assert_eq!(keys, want, "{q}: {status}");
+        assert_eq!(field(&status, "shards"), Some("2"), "{status}");
+        if capped {
+            assert_eq!(field(&status, "truncated"), Some("result-cap"));
+            assert_eq!(field(&status, "count"), Some("3"));
+        }
+        let spans: Vec<&str> = payload
+            .iter()
+            .filter_map(|l| l.strip_prefix("# span "))
+            .map(|l| l.split(" us=").next().unwrap_or(l))
+            .collect();
+        assert_eq!(spans, ["shard", "shard", "merge"], "{q}");
+    }
+
+    let (status, slow) = cc.ok("SLOWLOG");
+    assert_eq!(status, "OK entries=4");
+    for (q, _) in cases {
+        let entries: Vec<&String> = slow
+            .iter()
+            .filter(|l| l.starts_with("query ") && l.ends_with(&format!(" q={q}") as &str))
+            .collect();
+        assert_eq!(entries.len(), 1, "{q}: {slow:?}");
+        assert!(entries[0].contains(" graph=g epoch=0 "), "{}", entries[0]);
+    }
+
+    let (_, stats) = cc.ok("STATS");
+    assert_eq!(stat_value(&stats, "queries_total"), 4);
+    assert_eq!(stat_value(&stats, "queries_ok"), 4);
+    let (_, metrics) = cc.ok("METRICS");
+    assert_eq!(
+        stat_value(&metrics, "fbe_query_latency_us_count"),
+        stat_value(&stats, "queries_ok")
+    );
+
+    cc.ok("SHUTDOWN");
+    for h in handles {
+        h.join().unwrap().unwrap();
+    }
+}
+
 /// Satellite: an oversized request line is refused with `ERR PARSE`
 /// and drained — the connection survives.
 #[test]
