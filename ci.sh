@@ -238,14 +238,26 @@ grep -q "(coordinator)" "$smokedir/coord.log"
 cat > "$smokedir/shard_session.fbe" <<EOF
 LOAD g $smokedir/g
 ENUM g ssfbc alpha=2 beta=1 delta=1
+ENUM g ssfbc alpha=2 beta=1 delta=1 count-only
+ENUM g ssfbc alpha=2 beta=1 delta=1 max=vertices
+STATS
 SHUTDOWN
 EOF
 "$bindir/fbe" batch "$smokedir/shard_session.fbe" > "$smokedir/solo.out"
 "$bindir/fbe" batch --connect "$coord_addr" "$smokedir/shard_session.fbe" > "$smokedir/coord.out"
-grep '^L=\[' "$smokedir/solo.out" > "$smokedir/solo.lines"
-grep '^L=\[' "$smokedir/coord.out" > "$smokedir/coord.lines"
-[[ -s "$smokedir/solo.lines" ]] || { echo "smoke query returned no results"; exit 1; }
+# Result lines (the collect run, then the max pick) and the three ENUM
+# counts must agree.
+for side in solo coord; do
+    grep '^L=\[' "$smokedir/$side.out" > "$smokedir/$side.lines"
+    grep '^OK model=' "$smokedir/$side.out" | grep -o ' count=[0-9]*' >> "$smokedir/$side.lines"
+done
+[[ $(grep -c '^L=\[' "$smokedir/solo.lines") -gt 1 ]] || { echo "smoke query returned no results"; exit 1; }
 diff "$smokedir/solo.lines" "$smokedir/coord.lines"
+# The coordinator counts its three ENUMs, and total = ok + err.
+coord_stat() { sed -n "s/^$1 //p" "$smokedir/coord.out"; }
+[[ $(coord_stat queries_total) -eq 3 &&
+   $(coord_stat queries_total) -eq $(( $(coord_stat queries_ok) + $(coord_stat queries_err) )) ]] \
+    || { echo "coordinator STATS: queries_total != queries_ok + queries_err"; exit 1; }
 grep -q "^OK bye$" "$smokedir/coord.out"
 # SHUTDOWN fans to the shards; all three processes must exit.
 for pid in "$coord_pid" "$shard1_pid" "$shard2_pid"; do

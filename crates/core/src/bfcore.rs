@@ -28,8 +28,9 @@ use bigraph::{BipartiteGraph, Side, VertexId};
 ///
 /// Returns `(keep_upper, keep_lower)`.
 pub fn bfcore_masks(g: &BipartiteGraph, alpha: u32, beta: u32) -> (Vec<bool>, Vec<bool>) {
-    peel_masks(g, alpha, beta, true, &PrepareCtl::UNBOUNDED)
-        .expect("unbounded prepare is never interrupted")
+    let p = peel_masks(g, alpha, beta, true, &PrepareCtl::UNBOUNDED)
+        .expect("unbounded prepare is never interrupted");
+    (p.keep_upper, p.keep_lower)
 }
 
 /// `BFCore`: peel to the bi-fair α-β core and compact.

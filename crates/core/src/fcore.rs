@@ -112,8 +112,9 @@ pub fn no_prune(g: &BipartiteGraph) -> PruneOutcome {
 ///
 /// Returns `(keep_upper, keep_lower)`.
 pub fn fcore_masks(g: &BipartiteGraph, alpha: u32, beta: u32) -> (Vec<bool>, Vec<bool>) {
-    peel_masks(g, alpha, beta, false, &PrepareCtl::UNBOUNDED)
-        .expect("unbounded prepare is never interrupted")
+    let p = peel_masks(g, alpha, beta, false, &PrepareCtl::UNBOUNDED)
+        .expect("unbounded prepare is never interrupted");
+    (p.keep_upper, p.keep_lower)
 }
 
 /// `FCore` (Algorithm 1): peel to the fair α-β core and compact.
@@ -121,10 +122,22 @@ pub fn fcore(g: &BipartiteGraph, params: FairParams) -> PruneOutcome {
     peel(g, params, false, &PrepareCtl::UNBOUNDED).expect("unbounded prepare is never interrupted")
 }
 
-/// The one core peel: membership masks `(keep_upper, keep_lower)` of
-/// the bi-fair α-β core (`bi`) or of the fair α-β core, which is the
-/// bi-fair core with the upper side's attributes collapsed to one
-/// value (index 0).
+/// What the core peel leaves behind: membership masks plus each
+/// vertex's final attribute counts, laid out `[x * values + a]` over
+/// the other side's attribute values (`values` is `max(1)` of the
+/// domain size, and 1 for the lower side without `bi`, where the count
+/// is the degree). A member's counts cover member neighbours only; a
+/// peeled vertex's counts are stale.
+pub(crate) struct Peeled {
+    pub(crate) keep_upper: Vec<bool>,
+    pub(crate) keep_lower: Vec<bool>,
+    pub(crate) upper_counts: Vec<u32>,
+    pub(crate) lower_counts: Vec<u32>,
+}
+
+/// The one core peel: the bi-fair α-β core (`bi`) or the fair α-β
+/// core, which is the bi-fair core with the upper side's attributes
+/// collapsed to one value (index 0).
 ///
 /// Probes `ctl` every `CTL_PROBE_INTERVAL` peel steps and aborts with
 /// the interrupting [`StopReason`]; an unbounded `ctl` adds no
@@ -135,7 +148,7 @@ pub(crate) fn peel_masks(
     beta: u32,
     bi: bool,
     ctl: &PrepareCtl,
-) -> Result<(Vec<bool>, Vec<bool>), StopReason> {
+) -> Result<Peeled, StopReason> {
     if let Some(r) = ctl.interrupted() {
         return Err(r);
     }
@@ -241,7 +254,12 @@ pub(crate) fn peel_masks(
             }
         }
     }
-    Ok((alive_u, alive_v))
+    Ok(Peeled {
+        keep_upper: alive_u,
+        keep_lower: alive_v,
+        upper_counts: ad_u,
+        lower_counts: ad_v,
+    })
 }
 
 /// [`peel_masks`] compacted into a [`PruneOutcome`]: `BFCore` with
@@ -252,8 +270,8 @@ pub(crate) fn peel(
     bi: bool,
     ctl: &PrepareCtl,
 ) -> Result<PruneOutcome, StopReason> {
-    let (ku, kv) = peel_masks(g, params.alpha, params.beta, bi, ctl)?;
-    Ok(PruneOutcome::of(g, induce(g, &ku, &kv)))
+    let p = peel_masks(g, params.alpha, params.beta, bi, ctl)?;
+    Ok(PruneOutcome::of(g, induce(g, &p.keep_upper, &p.keep_lower)))
 }
 
 /// Check that `(keep_upper, keep_lower)` induce a subgraph satisfying

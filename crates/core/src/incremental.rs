@@ -47,6 +47,7 @@
 //! colorful cores are subsets of it), so the plan's enumeration output
 //! is provably byte-identical and the plan stays resident.
 
+use crate::config::PrepareCtl;
 use bigraph::{BipartiteGraph, Side, VertexId};
 
 /// The dirty region of one update at a fixed `(α, β)`.
@@ -99,33 +100,20 @@ pub struct CoreTracker {
 }
 
 impl CoreTracker {
-    /// Full peel of `g` (one-shot [`crate::fcore::fcore_masks`]) plus
-    /// the counter state needed to repair later updates.
+    /// Full peel of `g` (the one-shot [`crate::fcore::fcore_masks`]
+    /// peel), keeping the member counters it ends with so later
+    /// updates can be repaired.
     pub fn new(g: &BipartiteGraph, alpha: u32, beta: u32) -> CoreTracker {
-        let (alive_u, alive_v) = crate::fcore::fcore_masks(g, alpha, beta);
-        let n_attrs = (g.n_attr_values(Side::Lower) as usize).max(1);
-        let lower_attrs = g.attrs(Side::Lower);
-        let mut attr_deg = vec![0u32; g.n_upper() * n_attrs];
-        let mut deg = vec![0u32; g.n_lower()];
-        for u in 0..g.n_upper() as VertexId {
-            if !alive_u[u as usize] {
-                continue;
-            }
-            for &v in g.neighbors(Side::Upper, u) {
-                if alive_v[v as usize] {
-                    attr_deg[u as usize * n_attrs + lower_attrs[v as usize] as usize] += 1;
-                    deg[v as usize] += 1;
-                }
-            }
-        }
+        let p = crate::fcore::peel_masks(g, alpha, beta, false, &PrepareCtl::UNBOUNDED)
+            .expect("unbounded prepare is never interrupted");
         CoreTracker {
             alpha,
             beta,
-            n_attrs,
-            alive_u,
-            alive_v,
-            attr_deg,
-            deg,
+            n_attrs: (g.n_attr_values(Side::Lower) as usize).max(1),
+            alive_u: p.keep_upper,
+            alive_v: p.keep_lower,
+            attr_deg: p.upper_counts,
+            deg: p.lower_counts,
         }
     }
 
@@ -407,21 +395,29 @@ mod tests {
         let (ku, kv) = fcore_masks(g, t.alpha, t.beta);
         assert_eq!(t.alive_u, ku, "upper masks diverge");
         assert_eq!(t.alive_v, kv, "lower masks diverge");
-        // Counter invariant: member counters count member neighbors.
-        let fresh = CoreTracker::new(g, t.alpha, t.beta);
-        for (u, member) in ku.iter().enumerate() {
-            if *member {
-                assert_eq!(
-                    t.attr_deg[u * t.n_attrs..(u + 1) * t.n_attrs],
-                    fresh.attr_deg[u * t.n_attrs..(u + 1) * t.n_attrs],
-                    "attr_deg of member {u}"
-                );
+        // Counter invariant: member counters count member neighbors,
+        // recounted here from `g` and the masks.
+        let lower_attrs = g.attrs(Side::Lower);
+        for u in (0..g.n_upper()).filter(|&u| ku[u]) {
+            let mut want = vec![0u32; t.n_attrs];
+            for &v in g.neighbors(Side::Upper, u as VertexId) {
+                if kv[v as usize] {
+                    want[lower_attrs[v as usize] as usize] += 1;
+                }
             }
+            assert_eq!(
+                t.attr_deg[u * t.n_attrs..(u + 1) * t.n_attrs],
+                want[..],
+                "attr_deg of member {u}"
+            );
         }
-        for (v, member) in kv.iter().enumerate() {
-            if *member {
-                assert_eq!(t.deg[v], fresh.deg[v], "deg of member {v}");
-            }
+        for v in (0..g.n_lower()).filter(|&v| kv[v]) {
+            let want = g
+                .neighbors(Side::Lower, v as VertexId)
+                .iter()
+                .filter(|&&u| ku[u as usize])
+                .count() as u32;
+            assert_eq!(t.deg[v], want, "deg of member {v}");
         }
     }
 

@@ -12,15 +12,22 @@
 //!   coordinator: every shard loads (or deterministically generates)
 //!   the full graph and restricts itself — the partition is a pure
 //!   function of the graph, so all shards agree without coordination.
-//! * `ENUM` fans the query to every shard concurrently and merges the
-//!   `K` canonically-sorted result streams with a k-way merge on the
+//! * `ENUM` takes the engine's one query route, `Engine::query`, which
+//!   owns the query counters, the collect-mode default limit, the span
+//!   recorder and the single exit (latency, truncation, `# span` lines,
+//!   slow log). This module supplies only its executor,
+//!   `scatter_gather`: it fans the query to every shard concurrently
+//!   and merges the `K` canonically-sorted result streams with a k-way
+//!   merge on the
 //!   [`fair_biclique::results::canonical_order`] ordering (shard
 //!   subgraphs stay in the parent id space, so merged lines are
 //!   byte-identical to a single-process run). The global result
 //!   budget is enforced the way `SharedBudget` does across threads:
 //!   each shard reader decrements the shared countdown *before*
 //!   buffering a line, and once the budget is spent the remaining
-//!   shard connections are dropped (early cancel).
+//!   shard connections are dropped (early cancel). `max=` feeds the
+//!   shards' maxima into [`fair_biclique::maximum::MaxSink`], the
+//!   single-process metric and tie-break.
 //! * `STATS` reports the coordinator's own counters (including the
 //!   `shard_*` fan-out metrics) plus a per-shard health summary and
 //!   each shard's counters under a `shard<i>_` prefix.
@@ -29,21 +36,21 @@
 //!   reply — never a hang: connects and reads are bounded by the
 //!   query deadline (plus a grace period) or a default timeout, and
 //!   results already received from healthy shards are accounted in
-//!   `STATS` as `shard_partial_results`.
+//!   `STATS` as `shard_partial_results`. Every such reply counts in
+//!   `shard_errors`; only a failed `ENUM` also counts in `queries_err`.
 //!
 //! Graph mutations (`ADDEDGE`/`DELEDGE`/`ADDVERTEX`) are refused in
 //! coordinator mode: an edge insertion can merge two 2-hop components
 //! and would invalidate the standing partition.
 
-use crate::engine::{Engine, Outcome, QueryCtx};
+use crate::engine::{status_line, Engine, Outcome};
 use crate::metrics::bump;
 use crate::protocol::{EnumMode, EnumOpts, GenSpec, Reply, Request, TERMINATOR};
-use crate::slowlog::SlowEntry;
 use fair_biclique::config::StopReason;
-use fair_biclique::maximum::SizeMetric;
+use fair_biclique::maximum::{MaxSink, SizeMetric};
 use fair_biclique::obs::SpanRecorder;
 use fair_biclique::prepared::QueryModel;
-use fair_biclique::Biclique;
+use fair_biclique::{Biclique, BicliqueSink};
 use fbe_datasets::corpus::Dataset;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -61,8 +68,9 @@ const DEFAULT_SHARD_TIMEOUT: Duration = Duration::from_secs(30);
 /// its truncated reply back before the coordinator gives up on it.
 const FANOUT_GRACE: Duration = Duration::from_secs(1);
 
-/// Execute `req` by fanning out to `engine.cfg.shards`.
-pub fn handle(engine: &Engine, req: Request, ctx: QueryCtx<'_>) -> Outcome {
+/// Execute a non-`ENUM` request by fanning out to `engine.cfg.shards`
+/// (`ENUM` reaches `scatter_gather` through `Engine::query`).
+pub fn handle(engine: &Engine, req: Request) -> Outcome {
     match req {
         Request::Ping => Outcome::Reply(Reply::ok("pong")),
         Request::Shutdown => {
@@ -82,9 +90,6 @@ pub fn handle(engine: &Engine, req: Request, ctx: QueryCtx<'_>) -> Outcome {
             Outcome::Reply(fan_with_shard(engine, &name, &line))
         }
         Request::Stats => Outcome::Reply(stats(engine)),
-        Request::Enum { graph, model, opts } => {
-            Outcome::Reply(enum_scatter_gather(engine, &graph, model, opts, ctx))
-        }
         Request::AddEdge { .. } | Request::DelEdge { .. } | Request::AddVertex { .. } => {
             Outcome::Reply(Reply::err(
                 "BADARG",
@@ -98,12 +103,13 @@ pub fn handle(engine: &Engine, req: Request, ctx: QueryCtx<'_>) -> Outcome {
         )),
         // Answered by the engine before coordinator delegation;
         // unreachable here, kept only for match exhaustiveness.
-        Request::Metrics | Request::Slowlog { .. } | Request::Trace { .. } => {
-            Outcome::Reply(Reply::err(
-                "INTERNAL",
-                "observability verb reached coordinator dispatch",
-            ))
-        }
+        Request::Metrics
+        | Request::Slowlog { .. }
+        | Request::Trace { .. }
+        | Request::Enum { .. } => Outcome::Reply(Reply::err(
+            "INTERNAL",
+            "early verb reached coordinator dispatch",
+        )),
     }
 }
 
@@ -202,9 +208,10 @@ impl ShardConn {
 }
 
 /// Index + address + detail of the first shard failure, rendered as a
-/// structured `ERR SHARD`.
+/// structured `ERR SHARD` and counted in `shard_errors` (a failed
+/// `ENUM` also counts in `queries_err`, at `Engine::query`'s exit).
 fn shard_err(engine: &Engine, index: usize, detail: &str, partial: u64) -> Reply {
-    bump(&engine.metrics.queries_err);
+    bump(&engine.metrics.shard_errors);
     let addr = engine
         .cfg
         .shards
@@ -283,7 +290,6 @@ fn fan_with_shard(engine: &Engine, name: &str, line: &str) -> Reply {
 fn merge_ok(engine: &Engine, results: Vec<Result<Reply, String>>) -> Reply {
     for (i, r) in results.iter().enumerate() {
         if let Err(detail) = r {
-            bump(&engine.metrics.shard_errors);
             return shard_err(engine, i, detail, 0);
         }
     }
@@ -319,10 +325,7 @@ fn graphs(engine: &Engine) -> Reply {
     });
     match results.into_iter().next() {
         Some(Ok(Some(reply))) => reply,
-        Some(Err(detail)) => {
-            bump(&engine.metrics.shard_errors);
-            shard_err(engine, 0, &detail, 0)
-        }
+        Some(Err(detail)) => shard_err(engine, 0, &detail, 0),
         _ => Reply::err("SHARD", "no shards configured"),
     }
 }
@@ -453,29 +456,24 @@ struct ShardEnum {
     stream: Duration,
 }
 
-fn enum_scatter_gather(
+/// The coordinator's executor behind `Engine::query`: fan the query
+/// (its collect-mode limit already resolved) to every shard and merge
+/// the replies. Returns the reply plus the truncation reason; the
+/// caller owns the query counters and the single exit.
+pub(crate) fn scatter_gather(
     engine: &Engine,
     graph: &str,
     model: QueryModel,
-    opts: EnumOpts,
-    ctx: QueryCtx<'_>,
-) -> Reply {
-    bump(&engine.metrics.queries_total);
-    let t0 = Instant::now();
-    let mut rec = if ctx.traced {
-        SpanRecorder::enabled()
-    } else {
-        SpanRecorder::disabled()
-    };
-    let limit = match opts.mode {
-        EnumMode::Collect => Some(opts.limit.unwrap_or(engine.cfg.default_result_limit)),
-        _ => opts.limit,
-    };
+    opts: &EnumOpts,
+    t0: Instant,
+    rec: &mut SpanRecorder,
+) -> (Reply, Option<StopReason>) {
+    let limit = opts.limit;
     let timeout = opts
         .deadline
         .map(|d| d + FANOUT_GRACE)
         .unwrap_or(DEFAULT_SHARD_TIMEOUT);
-    let line = enum_line(graph, model, &opts, limit);
+    let line = enum_line(graph, model, opts, limit);
 
     // The global result budget, shared by all shard readers the way
     // `SharedBudget` is shared by worker threads: acquire (decrement)
@@ -542,7 +540,6 @@ fn enum_scatter_gather(
             .flatten()
             .map(|s| s.results.len() as u64)
             .sum();
-        bump(&engine.metrics.shard_errors);
         if partial > 0 {
             engine
                 .metrics
@@ -550,7 +547,7 @@ fn enum_scatter_gather(
                 // lint: ordering: relaxed — statistics counter
                 .fetch_add(partial, Ordering::Relaxed);
         }
-        return shard_err(engine, i, &detail, partial);
+        return (shard_err(engine, i, &detail, partial), None);
     }
     let shards: Vec<ShardEnum> = results.into_iter().flatten().collect();
 
@@ -601,29 +598,11 @@ fn enum_scatter_gather(
             )
         }
         EnumMode::Maximum(metric) => {
-            let metric_of = |b: &Biclique| -> u64 {
-                match metric {
-                    SizeMetric::Vertices => (b.upper.len() + b.lower.len()) as u64,
-                    SizeMetric::Edges => (b.upper.len() * b.lower.len()) as u64,
-                }
-            };
-            let mut best: Option<Biclique> = None;
-            for b in shards.iter().flat_map(|s| s.results.iter()) {
-                let better = match &best {
-                    None => true,
-                    // Canonically smallest wins metric ties, matching
-                    // the single-process maximum tie-break.
-                    Some(cur) => match metric_of(b).cmp(&metric_of(cur)) {
-                        std::cmp::Ordering::Greater => true,
-                        std::cmp::Ordering::Equal => b < cur,
-                        std::cmp::Ordering::Less => false,
-                    },
-                };
-                if better {
-                    best = Some(b.clone());
-                }
+            let mut sink = MaxSink::new(metric);
+            for b in shards.iter().flat_map(|s| &s.results) {
+                sink.emit(&b.upper, &b.lower);
             }
-            let payload: Vec<String> = best.iter().map(|b| b.to_string()).collect();
+            let payload: Vec<String> = sink.best.iter().map(|b| b.to_string()).collect();
             let truncated = if shard_trunc("deadline") {
                 Some(StopReason::Deadline)
             } else {
@@ -660,47 +639,10 @@ fn enum_scatter_gather(
         }
     });
 
-    // Single exit for OK replies, mirroring `Engine::query`: observe,
-    // trace-decorate, and offer to the slow-query log exactly once.
-    let elapsed = t0.elapsed();
-    engine.metrics.observe_latency(elapsed);
-    bump(&engine.metrics.queries_ok);
-    if let Some(stop) = stop {
-        engine.metrics.observe_truncation(stop);
-    }
-    let mut status = format!(
-        "model={} graph={graph} count={count} shards={} threads={} elapsed_us={}",
-        model.name(),
-        engine.cfg.shards.len(),
-        opts.threads,
-        elapsed.as_micros()
-    );
-    if let Some(t) = stop {
-        status.push_str(&format!(" truncated={t}"));
-    }
-    let mut reply = Reply::ok(status);
+    let origin = format!("shards={}", engine.cfg.shards.len());
+    let mut reply = Reply::ok(status_line(graph, model, opts, count, &origin, stop, t0));
     reply.payload = payload;
-    if rec.is_enabled() {
-        reply
-            .payload
-            .extend(rec.render().into_iter().map(|l| format!("# {l}")));
-    }
-    engine.slowlog.record(SlowEntry {
-        seq: 0,
-        query: if ctx.line.is_empty() {
-            format!("ENUM {graph} {}", model.name())
-        } else {
-            ctx.line.to_string()
-        },
-        graph: graph.to_string(),
-        // The coordinator holds no local catalog; shard epochs are
-        // reachable through each shard's own SLOWLOG.
-        epoch: 0,
-        elapsed,
-        stop,
-        spans: rec.into_spans(),
-    });
-    reply
+    (reply, stop)
 }
 
 /// Merge `k` canonically-sorted, pairwise-disjoint result streams into

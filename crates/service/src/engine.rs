@@ -168,7 +168,7 @@ impl Session {
 }
 
 /// Per-request context derived from connection state, carried into
-/// the query path (and, on coordinators, the fan-out).
+/// the engine's one `ENUM` route.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueryCtx<'a> {
     /// Append a `# span ...` breakdown block to the reply and record
@@ -298,14 +298,16 @@ impl Engine {
         // Observability verbs answer from the local registry even on a
         // coordinator: its metrics/slow-log describe the fan-outs it
         // ran (shard servers keep their own, reachable directly).
-        match &req {
+        // `ENUM` takes the one query route on every engine; only its
+        // executor differs on a coordinator.
+        let req = match req {
             Request::Metrics => {
                 let mut r = Reply::ok("format=prometheus");
                 r.payload = self.metrics.render_prometheus();
                 return Outcome::Reply(r);
             }
             Request::Slowlog { n } => {
-                let payload = self.slowlog.render(*n);
+                let payload = self.slowlog.render(n);
                 let entries = payload.iter().filter(|l| l.starts_with("query ")).count();
                 let mut r = Reply::ok(format!("entries={entries}"));
                 r.payload = payload;
@@ -316,12 +318,15 @@ impl Engine {
                 // this is just the acknowledgement.
                 return Outcome::Reply(Reply::ok(format!("trace={mode}")));
             }
-            _ => {}
-        }
+            Request::Enum { graph, model, opts } => {
+                return Outcome::Reply(self.query(&graph, model, opts, ctx));
+            }
+            req => req,
+        };
         if !self.cfg.shards.is_empty() {
             // Coordinator mode: fan out to the shard servers instead
             // of executing locally (the local catalog stays empty).
-            return crate::coordinator::handle(self, req, ctx);
+            return crate::coordinator::handle(self, req);
         }
         match req {
             Request::Ping => Outcome::Reply(Reply::ok("pong")),
@@ -385,14 +390,14 @@ impl Engine {
                 of,
                 alpha,
             } => Outcome::Reply(self.shard(&graph, index, of, alpha)),
-            Request::Enum { graph, model, opts } => {
-                Outcome::Reply(self.query(&graph, model, opts, ctx))
-            }
             // Answered before the coordinator check; unreachable here,
             // kept only for match exhaustiveness.
-            Request::Metrics | Request::Slowlog { .. } | Request::Trace { .. } => Outcome::Reply(
-                Reply::err("INTERNAL", "observability verb reached local dispatch"),
-            ),
+            Request::Metrics
+            | Request::Slowlog { .. }
+            | Request::Trace { .. }
+            | Request::Enum { .. } => {
+                Outcome::Reply(Reply::err("INTERNAL", "early verb reached local dispatch"))
+            }
         }
     }
 
@@ -564,7 +569,18 @@ impl Engine {
         Ok((plan, false))
     }
 
-    fn query(&self, graph: &str, model: QueryModel, opts: EnumOpts, ctx: QueryCtx<'_>) -> Reply {
+    /// The one `ENUM` route. Executes on the local plan or, on a
+    /// coordinator, by fanning out to the shards; either way this is
+    /// the single exit that counts the query, applies the collect-mode
+    /// default limit, and observes, trace-decorates and slow-logs
+    /// every `OK` reply exactly once.
+    fn query(
+        &self,
+        graph: &str,
+        model: QueryModel,
+        mut opts: EnumOpts,
+        ctx: QueryCtx<'_>,
+    ) -> Reply {
         bump(&self.metrics.queries_total);
         let t0 = Instant::now();
         let mut rec = if ctx.traced {
@@ -572,11 +588,17 @@ impl Engine {
         } else {
             SpanRecorder::disabled()
         };
+        if opts.mode == EnumMode::Collect {
+            opts.limit = Some(opts.limit.unwrap_or(self.cfg.default_result_limit));
+        }
+        // A coordinator holds no catalog; shard epochs are reachable
+        // through each shard's own SLOWLOG.
         let mut epoch = 0u64;
-        let (mut reply, stop) = self.run_query(graph, model, &opts, t0, &mut rec, &mut epoch);
-        // Single exit: every OK reply — including truncated ones — is
-        // observed, trace-decorated, and offered to the slow-query log
-        // exactly once; error replies only count as errors.
+        let (mut reply, stop) = if self.cfg.shards.is_empty() {
+            self.run_query(graph, model, &opts, t0, &mut rec, &mut epoch)
+        } else {
+            crate::coordinator::scatter_gather(self, graph, model, &opts, t0, &mut rec)
+        };
         if reply.is_ok() {
             let elapsed = t0.elapsed();
             self.metrics.observe_latency(elapsed);
@@ -611,7 +633,7 @@ impl Engine {
         reply
     }
 
-    /// The fallible middle of [`Engine::query`]: admission → plan →
+    /// The local executor behind [`Engine::query`]: admission → plan →
     /// enumeration. Returns the reply plus the truncation reason (the
     /// caller owns metrics/trace/slow-log bookkeeping). `epoch_out`
     /// reports the catalog epoch the query ran against.
@@ -625,8 +647,9 @@ impl Engine {
         epoch_out: &mut u64,
     ) -> (Reply, Option<StopReason>) {
         let deadline_at = opts.deadline.map(|d| t0 + d);
-        let truncated_reply = |cached, stop: StopReason| {
-            let status = self.status_line(graph, model, opts, 0, cached, Some(stop), t0);
+        let truncated_reply = |cached: bool, stop: StopReason| {
+            let origin = format!("cached={cached}");
+            let status = status_line(graph, model, opts, 0, &origin, Some(stop), t0);
             (Reply::ok(status), Some(stop))
         };
         let Some(entry) = self.catalog.get(graph) else {
@@ -670,14 +693,10 @@ impl Engine {
             return truncated_reply(cached, StopReason::Deadline);
         }
 
-        let limit = match opts.mode {
-            EnumMode::Collect => Some(opts.limit.unwrap_or(self.cfg.default_result_limit)),
-            _ => opts.limit,
-        };
         let budget = Budget {
             max_nodes: None,
             max_time: remaining,
-            max_results: limit,
+            max_results: opts.limit,
             cancel: Some(self.shutdown.clone()),
         };
         let cfg = RunConfig {
@@ -700,33 +719,35 @@ impl Engine {
         };
         let stop = report.truncated_by;
 
-        let mut reply = Reply::ok(self.status_line(graph, model, opts, count, cached, stop, t0));
+        let origin = format!("cached={cached}");
+        let mut reply = Reply::ok(status_line(graph, model, opts, count, &origin, stop, t0));
         reply.payload = payload;
         (reply, stop)
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn status_line(
-        &self,
-        graph: &str,
-        model: QueryModel,
-        opts: &EnumOpts,
-        count: u64,
-        cached: bool,
-        stop: Option<StopReason>,
-        t0: Instant,
-    ) -> String {
-        let mut s = format!(
-            "model={} graph={graph} count={count} cached={cached} threads={} elapsed_us={}",
-            model.name(),
-            opts.threads,
-            t0.elapsed().as_micros()
-        );
-        if let Some(stop) = stop {
-            s.push_str(&format!(" truncated={stop}"));
-        }
-        s
+/// The `ENUM` status line. `origin` is `cached=<bool>` for a local plan
+/// or `shards=<K>` for a coordinator fan-out; the field order is the
+/// same either way.
+pub(crate) fn status_line(
+    graph: &str,
+    model: QueryModel,
+    opts: &EnumOpts,
+    count: u64,
+    origin: &str,
+    stop: Option<StopReason>,
+    t0: Instant,
+) -> String {
+    let mut s = format!(
+        "model={} graph={graph} count={count} {origin} threads={} elapsed_us={}",
+        model.name(),
+        opts.threads,
+        t0.elapsed().as_micros()
+    );
+    if let Some(stop) = stop {
+        s.push_str(&format!(" truncated={stop}"));
     }
+    s
 }
 
 #[cfg(test)]

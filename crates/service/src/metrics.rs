@@ -119,11 +119,14 @@ impl Histogram {
 #[derive(Debug)]
 pub struct Metrics {
     started: Instant,
-    /// Every query received (before admission).
+    /// Every `ENUM` request received (before admission), on a local
+    /// engine or a coordinator alike; other verbs are not queries.
     pub queries_total: AtomicU64,
-    /// Queries answered with `OK` (including truncated ones).
+    /// `ENUM` requests answered with `OK` (including truncated ones).
     pub queries_ok: AtomicU64,
-    /// Queries answered with `ERR`.
+    /// `ENUM` requests answered with `ERR` (plus requests that
+    /// panicked). A coordinator's failed fan-out of any other verb
+    /// counts only in `shard_errors`.
     pub queries_err: AtomicU64,
     /// Queries refused by admission control.
     pub rejected_busy: AtomicU64,
@@ -143,7 +146,8 @@ pub struct Metrics {
     pub updates_applied: AtomicU64,
     /// Coordinator requests fanned out to shard servers.
     pub shard_fanouts: AtomicU64,
-    /// Shard calls that failed (connect/timeout/protocol error).
+    /// Failed shard calls (connect/timeout/protocol error): one per
+    /// `ERR SHARD` reply, plus one per shard `STATS` could not reach.
     pub shard_errors: AtomicU64,
     /// Results received from healthy shards but discarded because a
     /// sibling shard failed mid-fanout (partial-result accounting for

@@ -106,7 +106,8 @@ fn start_fleet(
 
 /// The coordinator's `--sorted` ENUM streams are byte-identical to a
 /// single-process server for every miner, counts add up, maximum
-/// agrees, and the global result budget binds across shards.
+/// agrees under both metrics, and the global result budget binds
+/// across shards.
 #[test]
 fn coordinator_matches_single_process_for_every_miner() {
     let (coord, _shards, handles) = start_fleet(3);
@@ -146,15 +147,15 @@ fn coordinator_matches_single_process_for_every_miner() {
             field(&solo_status, "count"),
             "{q} count-only: {count_status}"
         );
+        // Maximum mode: the coordinator feeds the shards' maxima into
+        // the single-process sink, so metric and tie-break agree.
+        for metric in ["vertices", "edges"] {
+            let mq = format!("{q} max={metric}");
+            let (_, want) = sc.ok(&mq);
+            let (_, got) = cc.ok(&mq);
+            assert_eq!(got, want, "{mq}: coordinator vs single-process");
+        }
     }
-
-    // Maximum-mode: the coordinator's pick has the same metric value
-    // as the single-process winner (ties may break differently only
-    // if Ord differs — it must not, so require exact agreement).
-    let q = "ENUM g ssfbc alpha=1 beta=1 delta=1 max=edges";
-    let (_, want) = sc.ok(q);
-    let (_, got) = cc.ok(q);
-    assert_eq!(got, want, "maximum via coordinator vs single-process");
 
     // Global result budget: exactly K results with truncation
     // reported. Which K survive depends on shard arrival order (the
@@ -240,6 +241,43 @@ fn killed_shard_answers_err_shard_within_the_deadline() {
     assert!(stat_value(&stats, "shard_errors") >= 1);
     let (status, _) = cc.ok("PING");
     assert_eq!(status, "OK pong");
+
+    cc.ok("SHUTDOWN");
+    for h in handles {
+        h.join().unwrap().unwrap();
+    }
+}
+
+/// `queries_*` count `ENUM` requests only: a failed fan-out of any other
+/// verb counts in `shard_errors` alone, so the query counters reconcile
+/// (`total == ok + err`) on a coordinator with a dead shard.
+#[test]
+fn dead_shard_fanouts_keep_query_counters_reconciled() {
+    let (coord, shard_addrs, mut handles) = start_fleet(2);
+    let mut victim = Client::connect(&shard_addrs[0]);
+    victim.ok("SHUTDOWN");
+    handles.remove(0).join().unwrap().unwrap();
+
+    let mut cc = Client::connect(&coord);
+    for line in [
+        "GRAPHS",
+        "GEN g uniform:20,20,60,7",
+        "DROP g",
+        "ENUM g ssfbc alpha=1 beta=1 delta=1",
+    ] {
+        let (status, _) = cc.cmd(line);
+        assert!(
+            status.starts_with("ERR SHARD shard=0"),
+            "{line} -> {status}"
+        );
+    }
+    let (_, stats) = cc.ok("STATS");
+    let total = stat_value(&stats, "queries_total");
+    let ok = stat_value(&stats, "queries_ok");
+    let err = stat_value(&stats, "queries_err");
+    assert_eq!(total, ok + err, "{stats:?}");
+    assert_eq!((total, ok, err), (1, 0, 1));
+    assert_eq!(stat_value(&stats, "shard_errors"), 4);
 
     cc.ok("SHUTDOWN");
     for h in handles {
